@@ -207,7 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     opened = None
     if args.out:
-        opened = open(args.out, "w")
+        try:
+            opened = open(args.out, "w")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
         out = opened
     try:
         return args.handler(args, out)

@@ -79,7 +79,8 @@ class UnitQuaternion:
 
     def __post_init__(self) -> None:
         n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > EPS:
+        # written as a positive test so that NaN components are rejected too
+        if not abs(n2 - 1.0) <= EPS:
             raise ValueError(f"quaternion norm^2 = {n2!r} is not 1 within {EPS}")
 
     def __neg__(self) -> UnitQuaternion:

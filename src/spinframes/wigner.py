@@ -5,17 +5,26 @@ The D-matrix is evaluated directly from the quaternion's Cayley-Klein pair
     a = w - i z,   b = -y - i x,
 
 which packs the quaternion into the SU(2) matrix [[a, b], [-conj(b), conj(a)]].
-Every entry is a homogeneous polynomial of degree 2s in (a, b, conj(a),
-conj(b)):
+Every entry is a homogeneous polynomial of degree 2s in (a, conj(a), b,
+-conj(b)):
 
     D[m', m] = sum_i  sqrt((s+m')! (s-m')! (s+m)! (s-m)!)
                / ((s+m-i)! i! (m'-m+i)! (s-m'-i)!)
-               * a^(s+m-i) * conj(a)^(s-m'-i) * b^(m'-m+i) * (-conj(b))^i,
+               * a^(s+m-i) * conj(a)^(s-m'-i) * b^(m'-m+i) * (-conj(b))^i.
 
-so D(-q) = (-1)^(2s) D(q) holds identically in the arithmetic, with no angle
-extraction and no branch cuts. Phases follow the Condon-Shortley convention:
-a rotation by alpha about z gives diag(exp(-i m alpha)) and a rotation about
-y gives the standard real reduced matrix.
+The coefficients and exponents depend on 2s alone, so they are built once per
+2s as a flat plan of monomial terms (built on first use, then cached). A call
+only fills a table of the powers 0..2s of the four Cayley-Klein factors by
+repeated products, multiplies each term's coefficient by its four powers, and
+sums the terms into their matrix entries.
+
+The double-cover sign stays structural: negating q negates each factor
+exactly, a power built by repeated products picks up exactly (-1)^k, and each
+term has total degree 2s, so D(-q) = (-1)^(2s) D(q) holds bit for bit, with no
+angle extraction, no branch cuts and no phase applied afterwards. Phases
+follow the Condon-Shortley convention: a rotation by alpha about z gives
+diag(exp(-i m alpha)) and a rotation about y gives the standard real reduced
+matrix.
 
 Clebsch-Gordan coefficients use the closed-form alternating sum over exact
 rational factorials, with a single square root at the end.
@@ -25,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,22 +72,25 @@ class WignerMatrix:
         return complex(self.entries[self._index(m_row), self._index(m_col)])
 
 
-def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
-    """D^s(q) as a (2s+1) x (2s+1) complex matrix.
+class _Plan(NamedTuple):
+    """The monomial terms of D^s for one 2s, as flat arrays over the terms."""
 
-    Exact unitary-representation property: wigner_D(s, compose(p, q)) equals
-    wigner_D(s, p) @ wigner_D(s, q) up to floating error, and negating q
-    multiplies the whole matrix by (-1)^(2s).
-    """
-    if s.twice > MAX_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
-    a, b = _cayley_klein(q)
-    ac = a.conjugate()
-    nbc = -b.conjugate()
-    ts = s.twice
-    order = [m.twice for m in m_range(s)]
-    dim = s.dim
-    out = np.zeros((dim, dim), dtype=complex)
+    # float slots of the term's entry in the flat complex matrix: real part
+    # at 2 * (row * dim + col), imaginary part one after, interleaved per term
+    slots: np.ndarray
+    coef: np.ndarray  # sqrt(f_row * f_col) / den
+    # exponents of a, conj(a), b and -conj(b), one row each, offset into the
+    # flat power table of all four factors
+    powers: np.ndarray
+
+
+@cache
+def _plan(ts: int) -> _Plan:
+    order = range(ts, -ts - 1, -2)
+    dim = ts + 1
+    slots: list[int] = []
+    coef: list[float] = []
+    powers: list[tuple[int, int, int, int]] = []
     for row, tmp in enumerate(order):
         f_row = factorial_exact((ts + tmp) // 2) * factorial_exact((ts - tmp) // 2)
         for col, tm in enumerate(order):
@@ -84,7 +98,6 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
             pref = sqrt(f_row * f_col)
             lo = max(0, (tm - tmp) // 2)
             hi = min((ts + tm) // 2, (ts - tmp) // 2)
-            total = 0j
             for i in range(lo, hi + 1):
                 e_a = (ts + tm) // 2 - i
                 e_ac = (ts - tmp) // 2 - i
@@ -95,9 +108,48 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
                     * factorial_exact(e_b)
                     * factorial_exact(e_ac)
                 )
-                total += (pref / den) * a**e_a * ac**e_ac * b**e_b * nbc**i
-            out[row, col] = total
-    return WignerMatrix(s=s, q=q, entries=out)
+                flat = row * dim + col
+                slots.extend((2 * flat, 2 * flat + 1))
+                coef.append(pref / den)
+                powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
+    plan = _Plan(
+        slots=np.array(slots, dtype=np.intp),
+        coef=np.array(coef, dtype=float),
+        powers=np.array(powers, dtype=np.intp).T.copy(),
+    )
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
+    """D^s(q) as a (2s+1) x (2s+1) complex matrix.
+
+    Exact unitary-representation property: wigner_D(s, compose(p, q)) equals
+    wigner_D(s, p) @ wigner_D(s, q) up to floating error, and negating q
+    multiplies the whole matrix by (-1)^(2s) bit for bit, because every term
+    is a degree-2s monomial in powers built by repeated products. The
+    coefficients and exponents are built once per 2s; every call returns a
+    fresh array.
+    """
+    if s.twice > MAX_TWICE_SPIN:
+        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
+    ts = s.twice
+    dim = s.dim
+    plan = _plan(ts)
+    a, b = _cayley_klein(q)
+    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
+    pw = []
+    for x in (a, a.conjugate(), b, -b.conjugate()):
+        p = 1.0 + 0.0j
+        pw.append(p)
+        for _ in range(ts):
+            p *= x
+            pw.append(p)
+    factors = np.array(pw)[plan.powers]
+    terms = plan.coef * factors[0] * factors[1] * factors[2] * factors[3]
+    out = np.bincount(plan.slots, weights=terms.view(float), minlength=2 * dim * dim)
+    return WignerMatrix(s=s, q=q, entries=out.view(complex).reshape(dim, dim))
 
 
 def clebsch_gordan(

@@ -2,9 +2,11 @@
 
 Nothing here imports the package. Each oracle reaches its quantity along a
 different route than the implementation under test: the reduced rotation
-matrix comes from the classic angle-based sum formula, Clebsch-Gordan
-coefficients from ladder-operator construction on the product space, and
-rotation matrices from the Rodrigues formula.
+matrix comes from the classic angle-based sum formula, the full rotation
+matrix from a per-entry loop over the Cayley-Klein monomials (no cached
+coefficients, no array evaluation), Clebsch-Gordan coefficients from
+ladder-operator construction on the product space, and rotation matrices
+from the Rodrigues formula.
 """
 
 from __future__ import annotations
@@ -39,6 +41,35 @@ def little_d(tj: int, tmp: int, tm: int, beta: float) -> float:
             * s ** ((tmp - tm) // 2 + 2 * k)
         )
     return pref * total
+
+
+def cayley_klein_D(tj: int, w: float, x: float, y: float, z: float) -> np.ndarray:
+    """D^j of the unit quaternion (w, x, y, z), entry by entry, rows and
+    columns descending in m; doubled labels."""
+    f = math.factorial
+    a = complex(w, -z)
+    b = complex(-y, -x)
+    ac = a.conjugate()
+    nbc = -b.conjugate()
+    order = range(tj, -tj - 1, -2)
+    out = np.zeros((tj + 1, tj + 1), dtype=complex)
+    for row, tmp in enumerate(order):
+        for col, tm in enumerate(order):
+            pref = math.sqrt(
+                f((tj + tmp) // 2)
+                * f((tj - tmp) // 2)
+                * f((tj + tm) // 2)
+                * f((tj - tm) // 2)
+            )
+            k_lo = max(0, (tm - tmp) // 2)
+            k_hi = min((tj + tm) // 2, (tj - tmp) // 2)
+            for k in range(k_lo, k_hi + 1):
+                e_a = (tj + tm) // 2 - k
+                e_ac = (tj - tmp) // 2 - k
+                e_b = (tmp - tm) // 2 + k
+                den = f(e_a) * f(k) * f(e_b) * f(e_ac)
+                out[row, col] += pref / den * a**e_a * ac**e_ac * b**e_b * nbc**k
+    return out
 
 
 def ladder_cg_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float]:

@@ -144,6 +144,7 @@ def test_input_errors_exit_2():
         ("dmatrix", "--s2", "-1", "--axis", "0,0,1", "--angle", "1.0"),
         ("dmatrix", "--s2", "1", "--axis", "1,2", "--angle", "1.0"),
         ("dmatrix", "--s2", "1", "--axis", "0,0,0", "--angle", "1.0"),
+        ("dmatrix", "--s2", "1", "--axis", "0,0,1", "--angle", "nan"),
         ("impossibility", "--n", "1"),
         ("impossibility", "--n", "25"),
     )
@@ -170,3 +171,12 @@ def test_out_file_matches_stdout(tmp_path):
     assert redirected.returncode == 0
     assert redirected.stdout == ""
     assert target.read_text() == direct.stdout
+
+
+def test_unwritable_out_exit_2(tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    r = run_cli("exclusion", "--s2", "3", "--out", str(target))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr

@@ -30,6 +30,14 @@ def test_unit_quaternion_validates_norm():
         UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
 
+def test_unit_quaternion_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            UnitQuaternion(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            UnitQuaternion(0.5, 0.5, 0.5, bad)
+
+
 def test_vec3_normalize_zero_rejected():
     with pytest.raises(ValueError):
         Vec3(0.0, 0.0, 0.0).normalized()

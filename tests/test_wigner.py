@@ -1,6 +1,7 @@
 """Spin-s rotation matrices and coupling coefficients against independent
-oracles: the angle-based reduced-matrix sum formula and a ladder-operator
-construction of the coupling table."""
+oracles: the angle-based reduced-matrix sum formula, a per-entry loop over
+the Cayley-Klein monomials, sympy's Wigner D where sympy is installed, and a
+ladder-operator construction of the coupling table."""
 
 import cmath
 import math
@@ -9,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import ladder_cg_table, little_d
+from oracles import cayley_klein_D, ladder_cg_table, little_d
 from spinframes import (
     EPS,
     IDENTITY,
@@ -44,7 +45,7 @@ def test_full_turn_signs():
 
 
 def test_y_rotation_matches_little_d_oracle():
-    for ts in range(0, 7):
+    for ts in range(0, MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
         order = [m.twice for m in m_range(s)]
         for beta in (0.3, 1.1, 2.5, -0.7, 3.9):
@@ -70,21 +71,71 @@ def test_z_rotation_phases():
                     assert abs(mat.entries[i, j]) < EPS
 
 
+def test_matches_per_entry_loop_oracle():
+    rng = random.Random(20)
+    for ts in range(0, MAX_TWICE_SPIN + 1):
+        s = TwiceSpin(ts)
+        for _ in range(5):
+            q = rand_quaternion(rng)
+            want = cayley_klein_D(ts, *q.components())
+            assert np.abs(wigner_D(s, q).entries - want).max() < EPS
+
+
 def test_double_cover_sign_random():
+    # exact, not within a tolerance: every term is a degree-2s monomial
     rng = random.Random(21)
-    for ts in range(1, 7):
+    for ts in range(0, MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
         sign = (-1) ** ts
         for _ in range(30):
             q = rand_quaternion(rng)
             a = wigner_D(s, -q).entries
             b = sign * wigner_D(s, q).entries
-            assert np.abs(a - b).max() < EPS
+            assert np.array_equal(a, b)
+
+
+def test_returned_entries_are_not_shared():
+    rng = random.Random(24)
+    for ts in (0, 1, 4, MAX_TWICE_SPIN):
+        s = TwiceSpin(ts)
+        q = rand_quaternion(rng)
+        first = wigner_D(s, q).entries
+        want = first.copy()
+        first[...] = 7.0
+        second = wigner_D(s, q).entries
+        assert np.array_equal(second, want)
+        assert not np.shares_memory(first, second)
+
+
+def test_matches_sympy_zyz_oracle():
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.quantum.spin import Rotation
+
+    alpha, beta, gamma = 0.4, 1.3, -2.2
+    q = compose(
+        from_axis_angle(ZHAT, alpha),
+        compose(from_axis_angle(YHAT, beta), from_axis_angle(ZHAT, gamma)),
+    )
+    for ts in (1, 5, 12):
+        s = TwiceSpin(ts)
+        mat = wigner_D(s, q)
+        order = [m.twice for m in m_range(s)]
+        # a few entries only: each sympy entry costs tens of milliseconds
+        for i, j in {(0, 0), (0, ts), (ts // 2, ts // 2), (1, ts - 1)}:
+            want = Rotation.D(
+                sympy.Rational(ts, 2),
+                sympy.Rational(order[i], 2),
+                sympy.Rational(order[j], 2),
+                alpha,
+                beta,
+                gamma,
+            ).doit()
+            assert abs(mat.entries[i, j] - complex(want)) < EPS
 
 
 def test_homomorphism_random():
     rng = random.Random(22)
-    for ts in range(1, 7):
+    for ts in range(0, MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
         for _ in range(25):
             p = rand_quaternion(rng)
