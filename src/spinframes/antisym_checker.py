@@ -1,13 +1,15 @@
-"""Parity ledger for order-dependence signs and the exhaustive check that
-universal pairwise sign flips are impossible beyond two particles.
+"""Parity ledger for order-dependence signs and the proof that universal
+pairwise sign flips are impossible beyond two particles.
 
 An order-dependent description convention can silently rotate particle i's
 quantization frame by n_i full turns, contributing (-1)^(2 s_i n_i) to the
 state vector's sign. The ledger tracks those integers. Demanding that every
 unordered pair of identical half-integer particles pick up a sign under
 exchange, while bystanders stay untouched, yields one XOR constraint per
-pair over one parity bit per particle; enumeration shows the system has
-solutions only for N = 2.
+pair over one parity bit per particle. Each constraint x_i XOR x_j = 1 says
+that i and j get different colours, so the system is solvable exactly when
+its constraint graph is 2-colourable; for "every pair" that graph is the
+complete graph K_N, which contains a triangle once N >= 3.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import NamedTuple, Optional
 
 from .exactnum import TwiceSpin, neg_one_pow
 
-MAX_ENUM_VARS = 20
+# Largest N of the impossibility report: a scale guard on building K_N,
+# whose N(N-1)/2 constraints grow quadratically.
+MAX_REPORT_N = 20
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,8 @@ class ExchangeConstraintSystem:
     constraints: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n_vars < 0:
+            raise ValueError(f"n_vars must be non-negative, got {self.n_vars}")
         for i, j in self.constraints:
             if not (0 <= i < j < self.n_vars):
                 raise ValueError(f"bad constraint pair ({i}, {j})")
@@ -112,33 +118,41 @@ class SatResult(NamedTuple):
 
 
 def exhaustive_satisfiable(system: ExchangeConstraintSystem) -> SatResult:
-    """Try all 2^N parity assignments; return satisfiability, the first
-    witness found, and the number of satisfying assignments."""
-    if system.n_vars > MAX_ENUM_VARS:
-        raise ValueError(
-            f"{system.n_vars} variables exceeds enumeration bound {MAX_ENUM_VARS}"
-        )
-    witness: Optional[tuple[int, ...]] = None
-    count = 0
-    for assignment in range(2**system.n_vars):
-        ok = True
-        for i, j in system.constraints:
-            if ((assignment >> i) ^ (assignment >> j)) & 1 != 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-            if witness is None:
-                witness = tuple(
-                    (assignment >> i) & 1 for i in range(system.n_vars)
-                )
-    return SatResult(satisfiable=count > 0, witness=witness, count=count)
+    """Decide the system over all 2^N assignments by 2-colouring its
+    constraint graph, in O(N + E).
+
+    Each component is coloured from its highest-index variable, set to 0. A
+    constraint between equal colours leaves no solution; otherwise each
+    component has two colourings, so there are 2^(components) solutions, and
+    the witness is the least of them read as the integer sum x_i 2^i.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(system.n_vars)]
+    for i, j in system.constraints:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    colour = [-1] * system.n_vars
+    components = 0
+    for root in reversed(range(system.n_vars)):
+        if colour[root] >= 0:
+            continue
+        components += 1
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    return SatResult(satisfiable=False, witness=None, count=0)
+    return SatResult(satisfiable=True, witness=tuple(colour), count=2**components)
 
 
 def impossibility_report(n_max: int) -> list[tuple[int, bool, int]]:
     """(N, satisfiable, count) rows for N = 2..n_max."""
-    if not 2 <= n_max <= MAX_ENUM_VARS:
-        raise ValueError(f"N_max={n_max} outside [2, {MAX_ENUM_VARS}]")
+    if not 2 <= n_max <= MAX_REPORT_N:
+        raise ValueError(f"N_max={n_max} outside [2, {MAX_REPORT_N}]")
     rows = []
     for n in range(2, n_max + 1):
         result = exhaustive_satisfiable(build_constraints(n))

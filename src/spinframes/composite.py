@@ -1,5 +1,5 @@
-"""Composite spin of a pair, the even-S exclusion rule, and commuting pair
-operators.
+"""Composite spin of a pair, the even-S exclusion rule, and commuting
+subset-spin operators.
 
 Coupling two identical spins s, the coefficient relating the product basis to
 the composite basis picks up (-1)^(2s - S) under slot swap. Bringing both
@@ -27,8 +27,6 @@ from .wigner import CGTable, exchange_symmetry_sign, wigner_D
 # Dense-matrix desk-scale bounds.
 MAX_OPERATOR_PARTICLES = 5
 MAX_OPERATOR_TWICE_SPIN = 2
-MAX_FAMILY_PARTICLES = 4
-MAX_FAMILY_TWICE_SPIN = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,37 +217,23 @@ def build_pair_spin_operator(
 
 def max_commuting_pairset(n_particles: int, s: TwiceSpin) -> int:
     """Largest family of distinct subset-spin operators (each subset of size
-    at least 2) that commute pairwise, found by brute force.
+    at least 2) that commute pairwise.
 
     Distinct subsets and pairwise matrix commutation is this package's
-    concrete reading of "independent simultaneous eigenstates"; the count it
-    yields for small N is N - 1, never the N(N-1)/2 a full pairwise family
-    would need.
+    concrete reading of "independent simultaneous eigenstates". For s > 0
+    the operators of subsets A and B commute exactly when A and B are nested
+    or disjoint, so a commuting family is a laminar family of subsets. A
+    laminar family of subsets of size at least 2 on N points has at most
+    N - 1 members: added in order of size, each member is the union of at
+    least two blocks of the partition formed by the earlier maximal members
+    and the uncovered points, so each one merges blocks, and N blocks allow
+    only N - 1 merges. The nested chain {1,2}, {1,2,3}, ..., {1..N} reaches
+    the bound, so the answer is N - 1, never the N(N-1)/2 a full pairwise
+    family would need. For s = 0 every operator is zero and all 2^N - N - 1
+    subsets commute.
     """
-    if n_particles > MAX_FAMILY_PARTICLES:
-        raise ValueError(f"N={n_particles} exceeds bound {MAX_FAMILY_PARTICLES}")
-    if s.twice > MAX_FAMILY_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds bound {MAX_FAMILY_TWICE_SPIN}")
-    subsets = []
-    for mask in range(1, 2**n_particles):
-        members = {i + 1 for i in range(n_particles) if mask & (1 << i)}
-        if len(members) >= 2:
-            subsets.append(frozenset(members))
-    subsets.sort(key=lambda f: (len(f), sorted(f)))
-    ops = [build_pair_spin_operator(n_particles, s, f).matrix for f in subsets]
-    k = len(ops)
-    commutes = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            resid = np.abs(ops[i] @ ops[j] - ops[j] @ ops[i]).max()
-            commutes[i][j] = commutes[j][i] = resid <= EPS
-    best = 0
-    for mask in range(1, 2**k):
-        chosen = [i for i in range(k) if mask & (1 << i)]
-        if len(chosen) <= best:
-            continue
-        if all(
-            commutes[a][b] for ai, a in enumerate(chosen) for b in chosen[ai + 1 :]
-        ):
-            best = len(chosen)
-    return best
+    if n_particles < 0:
+        raise ValueError(f"N must be non-negative, got {n_particles}")
+    if s.twice == 0:
+        return 2**n_particles - n_particles - 1
+    return max(n_particles - 1, 0)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .rotations import EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, to_matrix3
+from .rotations import _require_right_handed_triad
 
 
 class CollinearMomentaError(ValueError):
@@ -35,17 +36,7 @@ class HelicityFrame:
     zhat: Vec3
 
     def __post_init__(self) -> None:
-        for v, name in ((self.xhat, "xhat"), (self.yhat, "yhat"), (self.zhat, "zhat")):
-            if abs(v.norm() - 1.0) > EPS_GEOM:
-                raise ValueError(f"{name} is not unit length")
-        if (
-            abs(self.xhat.dot(self.yhat)) > EPS_GEOM
-            or abs(self.yhat.dot(self.zhat)) > EPS_GEOM
-            or abs(self.zhat.dot(self.xhat)) > EPS_GEOM
-        ):
-            raise ValueError("frame axes are not mutually orthogonal")
-        if self.xhat.cross(self.yhat).dot(self.zhat) < 0.0:
-            raise ValueError("frame is left-handed")
+        _require_right_handed_triad(self.xhat, self.yhat, self.zhat)
 
     def to_quaternion(self) -> UnitQuaternion:
         """Lift of the triad on the fixed branch of frame_to_quaternion."""
@@ -61,8 +52,12 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
 
     Both particles of a pair use the same construction with the arguments
     swapped, which negates yhat (and xhat follows). tag labels whose frame
-    this is; it carries no geometric meaning.
+    this is; it carries no geometric meaning. Non-finite momentum components
+    raise ValueError.
     """
+    for p in (p_this, p_other):
+        if not all(math.isfinite(c) for c in (p.x, p.y, p.z)):
+            raise ValueError(f"momentum {p.x!r},{p.y!r},{p.z!r} is not finite")
     if p_this.norm() < EPS_GEOM or p_other.norm() < EPS_GEOM:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
     zhat = p_this.normalized()

@@ -143,6 +143,21 @@ def to_matrix3(q: UnitQuaternion) -> np.ndarray:
     )
 
 
+def _require_right_handed_triad(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> None:
+    # Each check is written as a positive test so that NaN axes fail it.
+    for v, name in ((xhat, "xhat"), (yhat, "yhat"), (zhat, "zhat")):
+        if not abs(v.norm() - 1.0) <= EPS_GEOM:
+            raise ValueError(f"{name} is not unit length")
+    if not (
+        abs(xhat.dot(yhat)) <= EPS_GEOM
+        and abs(yhat.dot(zhat)) <= EPS_GEOM
+        and abs(zhat.dot(xhat)) <= EPS_GEOM
+    ):
+        raise ValueError("frame axes are not mutually orthogonal")
+    if not xhat.cross(yhat).dot(zhat) >= 0.0:
+        raise ValueError("frame is left-handed (xhat x yhat points against zhat)")
+
+
 def frame_to_quaternion(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> UnitQuaternion:
     """Lift a right-handed orthonormal triad to a quaternion.
 
@@ -151,17 +166,7 @@ def frame_to_quaternion(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> UnitQuaternion:
     above EPS_GEOM is made non-negative. Callers that care about the other
     sheet negate the result themselves.
     """
-    for v, name in ((xhat, "xhat"), (yhat, "yhat"), (zhat, "zhat")):
-        if abs(v.norm() - 1.0) > EPS_GEOM:
-            raise ValueError(f"{name} is not unit length")
-    if (
-        abs(xhat.dot(yhat)) > EPS_GEOM
-        or abs(yhat.dot(zhat)) > EPS_GEOM
-        or abs(zhat.dot(xhat)) > EPS_GEOM
-    ):
-        raise ValueError("frame axes are not mutually orthogonal")
-    if xhat.cross(yhat).dot(zhat) < 0.0:
-        raise ValueError("frame is left-handed (xhat x yhat points against zhat)")
+    _require_right_handed_triad(xhat, yhat, zhat)
 
     # Columns of the rotation matrix are the images of the lab axes.
     m = np.column_stack([xhat.as_array(), yhat.as_array(), zhat.as_array()])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, neg_one_pow
-from .frames import bisector_axis
+from .frames import bisector_axis, helicity_frame
 from .rotations import UnitQuaternion, Vec3, compose, from_axis_angle, inverse
 from .wigner import wigner_D
 
@@ -236,8 +236,6 @@ def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor
     # Helicity-based descriptions need the momentum pair to span a plane;
     # canonical-based ones carry their frames independently of the partner.
     if FrameTag.HELICITY in (desc_a.base, desc_b.base):
-        from .frames import helicity_frame
-
         helicity_frame(desc_a.p, desc_b.p)
 
 

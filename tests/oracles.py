@@ -5,8 +5,9 @@ different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
 coefficients, no array evaluation), Clebsch-Gordan coefficients from
-ladder-operator construction on the product space, and rotation matrices
-from the Rodrigues formula.
+ladder-operator construction on the product space, rotation matrices
+from the Rodrigues formula, parity-constraint solutions by trying every
+assignment, and commuting families by searching every subfamily.
 """
 
 from __future__ import annotations
@@ -142,3 +143,37 @@ def axis_angle_matrix(axis, angle: float) -> np.ndarray:
         ]
     )
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def parity_assignments(n: int, constraints) -> tuple[int, tuple[int, ...] | None]:
+    """Count the assignments of n bits with x_i XOR x_j = 1 for every pair
+    (i, j) in constraints, trying the integers 0..2^n - 1 in order (bit i is
+    x_i); also return the first one found, or None."""
+    count = 0
+    first = None
+    for assignment in range(2**n):
+        if all(((assignment >> i) ^ (assignment >> j)) & 1 for i, j in constraints):
+            count += 1
+            if first is None:
+                first = tuple((assignment >> i) & 1 for i in range(n))
+    return count, first
+
+
+def max_pairwise_commuting(matrices, tol: float = 1e-12) -> int:
+    """Size of the largest subfamily of matrices whose members commute
+    pairwise (largest entry of every commutator at most tol), by trying
+    every subfamily."""
+    k = len(matrices)
+    commutes = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = matrices[i], matrices[j]
+            commutes[i][j] = commutes[j][i] = np.abs(a @ b - b @ a).max() <= tol
+    best = 0
+    for mask in range(1, 2**k):
+        chosen = [i for i in range(k) if mask & (1 << i)]
+        if len(chosen) <= best:
+            continue
+        if all(commutes[a][b] for ai, a in enumerate(chosen) for b in chosen[ai + 1 :]):
+            best = len(chosen)
+    return best

@@ -1,5 +1,6 @@
 """Turn-count ledgers, the per-pair XOR constraint system, and the
-enumeration showing universal exchange signs exist only for N = 2."""
+2-colouring solver showing universal exchange signs exist only for N = 2,
+checked against an enumeration of every assignment."""
 
 import itertools
 import random
@@ -18,6 +19,7 @@ from spinframes import (
     n2_only_pattern,
     report_lines,
 )
+from oracles import parity_assignments
 
 HALF = TwiceSpin(1)
 ONE = TwiceSpin(2)
@@ -138,9 +140,62 @@ def test_unsatisfiability_matches_brute_force_oracle():
         assert result.satisfiable == bool(hits)
 
 
-def test_enumeration_bound():
-    with pytest.raises(ValueError, match="bound"):
-        exhaustive_satisfiable(ExchangeConstraintSystem(n_vars=21, constraints=()))
+def test_negative_variable_count_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        ExchangeConstraintSystem(n_vars=-1, constraints=())
+
+
+def test_solver_has_no_size_bound():
+    free = exhaustive_satisfiable(ExchangeConstraintSystem(n_vars=64, constraints=()))
+    assert free == (True, (0,) * 64, 2**64)
+    assert exhaustive_satisfiable(build_constraints(200)) == (False, None, 0)
+
+
+def random_system(rng: random.Random) -> ExchangeConstraintSystem:
+    """Random constraint graph on up to 10 variables at a random edge
+    density; half of them are bipartite by construction, so that counts
+    above 2 and isolated variables come up."""
+    n = rng.randint(0, 10)
+    density = rng.random()
+    side = [rng.randint(0, 1) for _ in range(n)]
+    bipartite = rng.random() < 0.5
+    pairs = tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < density and (side[i] != side[j] or not bipartite)
+    )
+    return ExchangeConstraintSystem(n_vars=n, constraints=pairs)
+
+
+def test_solver_matches_enumeration_oracle():
+    rng = random.Random(73)
+    counts = set()
+    for _ in range(400):
+        system = random_system(rng)
+        count, first = parity_assignments(system.n_vars, system.constraints)
+        assert exhaustive_satisfiable(system) == (count > 0, first, count), system
+        counts.add(count)
+    assert {0, 1, 2, 4, 8} <= counts
+
+
+def test_solver_matches_enumeration_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(0, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return ExchangeConstraintSystem(n_vars=n, constraints=tuple(sorted(chosen)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(systems())
+    def check(system):
+        count, first = parity_assignments(system.n_vars, system.constraints)
+        assert exhaustive_satisfiable(system) == (count > 0, first, count)
+
+    check()
 
 
 def test_impossibility_report_rows():

@@ -147,6 +147,9 @@ def test_input_errors_exit_2():
         ("dmatrix", "--s2", "1", "--axis", "0,0,1", "--angle", "nan"),
         ("impossibility", "--n", "1"),
         ("impossibility", "--n", "25"),
+        ("frames", "--pa", "nan,0,1", "--pb=-1,0,1"),
+        ("frames", "--pa", "inf,0,1", "--pb=-1,0,1"),
+        ("frames", "--pa", "1,0,1", "--pb=-1,-inf,1"),
     )
     for args in checks:
         r = run_cli(*args)

@@ -1,6 +1,7 @@
 """Composite-spin projection, the even-S exclusion rule, and commuting
 families of subset spin operators."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from spinframes import (
     pseudo_antisymmetrize,
     pseudo_antisymmetry_sign,
 )
+from oracles import max_pairwise_commuting
 from util import figure_pair, rand_quaternion
 
 HALF = TwiceSpin(1)
@@ -268,8 +270,40 @@ def test_max_commuting_pairset_counts():
     assert max_commuting_pairset(4, HALF) == 3
 
 
-def test_max_commuting_pairset_bounds():
-    with pytest.raises(ValueError, match="N="):
-        max_commuting_pairset(5, HALF)
-    with pytest.raises(ValueError, match="2s="):
-        max_commuting_pairset(3, ONE)
+def test_max_commuting_pairset_without_size_bounds():
+    assert max_commuting_pairset(5, HALF) == 4
+    assert max_commuting_pairset(3, ONE) == 2
+    assert max_commuting_pairset(4, TwiceSpin(0)) == 11
+    with pytest.raises(ValueError, match="non-negative"):
+        max_commuting_pairset(-1, HALF)
+
+
+def subsets_of_at_least_two(n):
+    return [
+        frozenset(c)
+        for size in range(2, n + 1)
+        for c in itertools.combinations(range(1, n + 1), size)
+    ]
+
+
+def test_max_commuting_pairset_matches_dense_search_oracle():
+    for n in (2, 3, 4):
+        for ts in (0, 1, 2):
+            s = TwiceSpin(ts)
+            ops = [
+                build_pair_spin_operator(n, s, a).matrix
+                for a in subsets_of_at_least_two(n)
+            ]
+            assert max_commuting_pairset(n, s) == max_pairwise_commuting(ops), (n, ts)
+
+
+def test_subset_operators_commute_iff_nested_or_disjoint():
+    for n in (3, 4, 5):
+        for ts in (1, 2):
+            s = TwiceSpin(ts)
+            subsets = subsets_of_at_least_two(n)
+            ops = [build_pair_spin_operator(n, s, a).matrix for a in subsets]
+            for (a, x), (b, y) in itertools.combinations(zip(subsets, ops), 2):
+                laminar = a <= b or b <= a or not a & b
+                resid = np.abs(x @ y - y @ x).max()
+                assert (resid <= EPS) == laminar, (n, ts, sorted(a), sorted(b))

@@ -66,6 +66,16 @@ def test_collinear_momenta_rejected():
         helicity_frame(v, Vec3(0.0, 0.0, 0.0))
 
 
+def test_non_finite_momenta_rejected():
+    good = Vec3(0.3, -0.2, 0.9)
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in (Vec3(bad, 0.0, 1.0), Vec3(1.0, bad, 0.0), Vec3(0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                helicity_frame(p, good)
+            with pytest.raises(ValueError, match="not finite"):
+                helicity_frame(good, p)
+
+
 def test_random_frames_orthonormal_and_adapted():
     rng = random.Random(31)
     for _ in range(1000):
@@ -104,6 +114,8 @@ def test_frame_triad_validation():
         HelicityFrame("", x, Vec3(0.1, 0.99498743710662, 0.0), z)
     with pytest.raises(ValueError, match="left-handed"):
         HelicityFrame("", x, y, z.scaled(-1.0))
+    with pytest.raises(ValueError, match="unit"):
+        HelicityFrame("", Vec3(math.nan, 0.0, 0.0), y, z)
 
 
 def test_frame_to_quaternion_carries_basis_onto_triad():
