@@ -74,8 +74,9 @@ def project_composite(
     two choices multiply every amplitude by (-1)^(2s_b), so they agree for a
     fullon slot and differ by a global sign for a halfon slot.
 
-    The change of basis is unitary, so the channel weights sum to 1 for a
-    normalized input.
+    The common-frame amplitudes D_a psi D_b^T, flattened row by row, meet
+    the pair's cached Clebsch-Gordan matrix in one product. The change of
+    basis is unitary, so the channel weights sum to 1 for a normalized input.
     """
     if isinstance(route, int):
         if route not in (1, -1):
@@ -85,25 +86,12 @@ def project_composite(
         r_b = from_axis_angle(k, route * math.pi)
     else:
         r_a, r_b = route
-    psi = state.to_matrix()
-    d_a = wigner_D(state.desc_a.s, r_a).entries
-    d_b = wigner_D(state.desc_b.s, r_b).entries
-    common = d_a @ psi @ d_b.T
-
     s_a, s_b = state.desc_a.s, state.desc_b.s
+    d_a = wigner_D(s_a, r_a).entries
+    d_b = wigner_D(s_b, r_b).entries
+    common = d_a @ state.to_matrix() @ d_b.T
     table = CGTable(s_a, s_b)
-    rows = m_range(s_a)
-    cols = m_range(s_b)
-    amps: dict[tuple[TwiceSpin, TwiceM], complex] = {}
-    for S in table.allowed_total_spins():
-        for M in m_range(S):
-            total = 0j
-            for i, ma in enumerate(rows):
-                for j, mb in enumerate(cols):
-                    if ma.twice + mb.twice != M.twice:
-                        continue
-                    total += table.coefficient(ma, mb, S, M) * complex(common[i, j])
-            amps[(S, M)] = total
+    amps = dict(zip(table.channels, (common.reshape(-1) @ table.matrix).tolist()))
     return CompositeProjection(s_a=s_a, s_b=s_b, amplitudes=amps)
 
 

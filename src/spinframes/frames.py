@@ -43,6 +43,14 @@ class HelicityFrame:
         return frame_to_quaternion(self.xhat, self.yhat, self.zhat)
 
 
+def _pow2_scaled(p: Vec3) -> Vec3:
+    """p times the power of two that brings its largest component into
+    [0.5, 1); exact, so the direction is kept bit for bit and no later square
+    overflows or underflows. The zero vector stays zero."""
+    _, e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))
+    return Vec3(math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e))
+
+
 def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     """Frame of the particle with momentum p_this, partner momentum p_other.
 
@@ -53,12 +61,15 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     Both particles of a pair use the same construction with the arguments
     swapped, which negates yhat (and xhat follows). tag labels whose frame
     this is; it carries no geometric meaning. Non-finite momentum components
-    raise ValueError.
+    raise ValueError. The frame does not depend on the momenta's scale: each
+    is first scaled by a power of two, so any finite non-zero magnitude
+    works and in-range inputs give the same bits as unscaled arithmetic.
     """
     for p in (p_this, p_other):
         if not all(math.isfinite(c) for c in (p.x, p.y, p.z)):
             raise ValueError(f"momentum {p.x!r},{p.y!r},{p.z!r} is not finite")
-    if p_this.norm() < EPS_GEOM or p_other.norm() < EPS_GEOM:
+    p_this, p_other = _pow2_scaled(p_this), _pow2_scaled(p_other)
+    if p_this.norm() == 0.0 or p_other.norm() == 0.0:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
     zhat = p_this.normalized()
     normal = p_this.cross(p_other)
@@ -73,10 +84,11 @@ def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
     """Unit vector along p_a-hat + p_b-hat.
 
     Defined for parallel directions (it is just that direction) but not for
-    antiparallel ones, where the sum vanishes.
+    antiparallel ones, where the sum vanishes. Like helicity_frame, it
+    accepts any finite non-zero magnitude.
     """
-    a = p_a.normalized()
-    b = p_b.normalized()
+    a = _pow2_scaled(p_a).normalized()
+    b = _pow2_scaled(p_b).normalized()
     s = a + b
     if s.norm() < EPS_GEOM:
         raise ValueError("bisector undefined for antiparallel directions")

@@ -152,12 +152,15 @@ class PairState:
                 "joint amplitudes of identical-content pairs are stored on a "
                 "merged basis and have no slot-ordered matrix form"
             )
+        key_a = self.desc_a.content_key()
+        key_b = self.desc_b.content_key()
         rows = m_range(self.desc_a.s)
         cols = m_range(self.desc_b.s)
         out = np.zeros((len(rows), len(cols)), dtype=complex)
         for i, la in enumerate(rows):
             for j, lb in enumerate(cols):
-                out[i, j] = self.amplitude(la, lb)
+                key = _joint_key((key_a, la.twice), (key_b, lb.twice))
+                out[i, j] = self.amplitudes.get(key, 0j)
         return out
 
     def allclose(self, other: PairState, tol: float = EPS) -> bool:

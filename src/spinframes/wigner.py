@@ -27,15 +27,23 @@ diag(exp(-i m alpha)) and a rotation about y gives the standard real reduced
 matrix.
 
 Clebsch-Gordan coefficients use the closed-form alternating sum over exact
-rational factorials, with a single square root at the end.
+rational factorials, with a single square root at the end. The coupling of a
+spin pair is built once per (2s1, 2s2), on first use, and cached: a read-only
+coefficient mapping, the channel keys (S, M) with S ascending and M
+descending, and the same coefficients as a dense real orthogonal matrix from
+the product basis (m1, m2 descending, m2 fastest) to those channels. A
+coupled state is then one matrix product. The factorial cap bounds the spin
+pairs that can be built, so the cache stays bounded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import sqrt
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -214,31 +222,63 @@ def clebsch_gordan(
     return sign * sqrt(float(pref * ksum * ksum))
 
 
+def _total_spins(ts1: int, ts2: int) -> list[TwiceSpin]:
+    return [TwiceSpin(t) for t in range(abs(ts1 - ts2), ts1 + ts2 + 1, 2)]
+
+
+class _Coupling(NamedTuple):
+    """The Clebsch-Gordan coefficients of one spin pair, as a lookup and as a
+    change of basis."""
+
+    # (2m1, 2m2, 2S) -> <s1 m1; s2 m2 | S M>, for every M = m1 + m2 in range
+    coefficients: Mapping[tuple[int, int, int], float]
+    # (S, M) per column: S ascending, M descending within each S
+    channels: tuple[tuple[TwiceSpin, TwiceM], ...]
+    # row m1_index * (2s2 + 1) + m2_index, column per channel; orthogonal
+    matrix: np.ndarray
+
+
+@cache
+def _coupling(ts1: int, ts2: int) -> _Coupling:
+    s1, s2 = TwiceSpin(ts1), TwiceSpin(ts2)
+    spins = _total_spins(ts1, ts2)
+    channels = tuple((S, M) for S in spins for M in m_range(S))
+    column = {(S.twice, M.twice): k for k, (S, M) in enumerate(channels)}
+    coefficients: dict[tuple[int, int, int], float] = {}
+    matrix = np.zeros((s1.dim * s2.dim, len(channels)))
+    for i, m1 in enumerate(m_range(s1)):
+        for j, m2 in enumerate(m_range(s2)):
+            tM = m1.twice + m2.twice
+            for S in spins:
+                if abs(tM) > S.twice:
+                    continue
+                value = clebsch_gordan(s1, s2, m1, m2, S, S.component(tM))
+                coefficients[(m1.twice, m2.twice, S.twice)] = value
+                matrix[i * s2.dim + j, column[(S.twice, tM)]] = value
+    matrix.flags.writeable = False
+    return _Coupling(MappingProxyType(coefficients), channels, matrix)
+
+
 class CGTable:
     """All coupling coefficients for a fixed spin pair (s1, s2).
 
     Entries are keyed by doubled labels; coefficient() accepts the typed
-    labels and returns 0.0 off the M = m1 + m2 diagonal.
+    labels and returns 0.0 off the M = m1 + m2 diagonal. channels lists the
+    coupled labels (S, M), S ascending and M descending; matrix is the
+    read-only orthogonal change of basis whose row m1_index * (2s2 + 1) +
+    m2_index holds <s1 m1; s2 m2 | S M> in the column of each channel. The
+    coefficients are built once per spin pair and shared by every table of
+    that pair.
     """
 
     def __init__(self, s1: TwiceSpin, s2: TwiceSpin):
         self.s1 = s1
         self.s2 = s2
-        self._table: dict[tuple[int, int, int], float] = {}
-        for m1 in m_range(s1):
-            for m2 in m_range(s2):
-                tM = m1.twice + m2.twice
-                for S in self.allowed_total_spins():
-                    if abs(tM) > S.twice:
-                        continue
-                    value = clebsch_gordan(s1, s2, m1, m2, S, S.component(tM))
-                    self._table[(m1.twice, m2.twice, S.twice)] = value
+        self._table, self.channels, self.matrix = _coupling(s1.twice, s2.twice)
 
     def allowed_total_spins(self) -> list[TwiceSpin]:
         """Triangle-range total spins, ascending."""
-        lo = abs(self.s1.twice - self.s2.twice)
-        hi = self.s1.twice + self.s2.twice
-        return [TwiceSpin(t) for t in range(lo, hi + 1, 2)]
+        return _total_spins(self.s1.twice, self.s2.twice)
 
     def coefficient(self, m1: TwiceM, m2: TwiceM, S: TwiceSpin, M: TwiceM) -> float:
         self.s1.component(m1.twice)

@@ -5,9 +5,11 @@ different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
 coefficients, no array evaluation), Clebsch-Gordan coefficients from
-ladder-operator construction on the product space, rotation matrices
-from the Rodrigues formula, parity-constraint solutions by trying every
-assignment, and commuting families by searching every subfamily.
+ladder-operator construction on the product space, composite-basis
+amplitudes by summing coefficient times amplitude entry by entry (no
+change-of-basis matrix), rotation matrices from the Rodrigues formula,
+parity-constraint solutions by trying every assignment, and commuting
+families by searching every subfamily.
 """
 
 from __future__ import annotations
@@ -129,6 +131,29 @@ def ladder_cg_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float
         for i, (a, b) in enumerate(basis):
             table[(a, b, tJ, tM)] = float(v[i])
     return table
+
+
+def project_composite_loop(common: np.ndarray, tj_a: int, tj_b: int, coefficient):
+    """Amplitudes on the coupled basis |S M> of the product-basis matrix
+    common (rows 2m_a, columns 2m_b, both descending), by a nested loop over
+    every channel and every product label with m_a + m_b = M.
+
+    coefficient(2m_a, 2m_b, 2S, 2M) supplies the coupling coefficients. Keys
+    are doubled labels (2S, 2M), S ascending, then M descending.
+    """
+    rows = range(tj_a, -tj_a - 1, -2)
+    cols = range(tj_b, -tj_b - 1, -2)
+    amps: dict[tuple[int, int], complex] = {}
+    for tS in range(abs(tj_a - tj_b), tj_a + tj_b + 1, 2):
+        for tM in range(tS, -tS - 1, -2):
+            total = 0j
+            for i, tma in enumerate(rows):
+                for j, tmb in enumerate(cols):
+                    if tma + tmb != tM:
+                        continue
+                    total += coefficient(tma, tmb, tS, tM) * complex(common[i, j])
+            amps[(tS, tM)] = total
+    return amps
 
 
 def axis_angle_matrix(axis, angle: float) -> np.ndarray:

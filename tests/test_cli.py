@@ -111,6 +111,73 @@ def test_frames_report():
     )
 
 
+def test_frames_golden_bytes():
+    # bytes of the reports before momenta were rescaled by powers of two
+    cases = {
+        ("--pa", "0.3,0.4,0.5", "--pb=-0.3,0.7,0.5"): (
+            "frames: pa=0.3,0.4,0.5 pb=-0.3,0.7,0.5\n"
+            "frame_a: x=-0.847569456587386,0.522968388107111,0.0901669634667432"
+            " y=-0.318788356531669,-0.637576713063338,0.701334384369672"
+            " z=0.424264068711928,0.565685424949238,0.707106781186547\n"
+            "frame_b: x=0.888785828419917,0.0559865088768452,0.454890384624367"
+            " y=0.318788356531669,0.637576713063338,-0.701334384369672"
+            " z=-0.329292779969071,0.768349819927832,0.548821299948452\n"
+            "bisector: 0.0517646959628776,0.727124268491282,0.684551469520655\n"
+            "sheet=+1: q=0,0.0517646959628777,0.727124268491282,0.684551469520655"
+            " residual=4.15407418105522e-16\n"
+            "sheet=-1: q=0,-0.0517646959628777,-0.727124268491282,-0.684551469520655"
+            " residual=4.15407418105522e-16\n"
+            "opposite_sheets_negate: true\n"
+        ),
+        ("--pa", "3e5,-2e5,1e5", "--pb=-1e-3,2e-3,5e-3"): (
+            "frames: pa=300000,-200000,100000 pb=-0.001,0.002,0.005\n"
+            "frame_a: x=-0.104828483672192,0.314485451016575,0.943456353049726"
+            " y=-0.588348405414552,-0.784464540552736,0.196116135138184"
+            " z=0.801783725737273,-0.534522483824849,0.267261241912424\n"
+            "frame_b: x=0.787726361443376,-0.501280411827603,0.358057437019716"
+            " y=0.588348405414552,0.784464540552736,-0.196116135138184"
+            " z=-0.182574185835055,0.365148371670111,0.912870929175277\n"
+            "bisector: 0.460914841855386,-0.126075321983129,0.878443237633641\n"
+            "sheet=+1: q=0,0.460914841855386,-0.126075321983129,0.878443237633641"
+            " residual=3.14018491736755e-16\n"
+            "sheet=-1: q=0,-0.460914841855386,0.126075321983129,-0.878443237633641"
+            " residual=3.14018491736755e-16\n"
+            "opposite_sheets_negate: true\n"
+        ),
+    }
+    for args, want in cases.items():
+        r = run_cli("frames", *args)
+        assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
+
+
+def test_frames_extreme_scales():
+    unit = run_cli("frames", "--pa", "1,0,1", "--pb=-1,0,1").stdout.splitlines()
+    r = run_cli("frames", "--pa", "1e200,0,1e200", "--pb=-1e200,0,1e200")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[1:] == unit[1:]
+    r = run_cli("frames", "--pa", "1e-10,0,1e-10", "--pb=-1e-10,0,1e-10")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == (
+        "frames: pa=1e-10,0,1e-10 pb=-1e-10,0,1e-10\n"
+        "frame_a: x=-0.707106781186547,0,0.707106781186547 y=0,-1,0"
+        " z=0.707106781186548,0,0.707106781186548\n"
+        "frame_b: x=0.707106781186547,0,0.707106781186547 y=0,1,0"
+        " z=-0.707106781186548,0,0.707106781186548\n"
+        "bisector: 0,0,1\n"
+        "sheet=+1: q=0,0,0,1 residual=0\n"
+        "sheet=-1: q=0,0,0,-1 residual=0\n"
+        "opposite_sheets_negate: true\n"
+    )
+    # 2e-200 short of antiparallel, and a zero momentum: both collinear
+    for args in (
+        ("--pa", "1e200,0,1", "--pb=-1e200,0,1"),
+        ("--pa", "0,0,0", "--pb=-1,0,1"),
+    ):
+        r = run_cli("frames", *args)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr == "helicity frame undefined for collinear momenta\n"
+
+
 def test_frames_swapped_arguments_swap_frames():
     fwd = run_cli("frames", "--pa", "1,0,1", "--pb=-1,0,1").stdout.splitlines()
     rev = run_cli("frames", "--pa=-1,0,1", "--pb", "1,0,1").stdout.splitlines()

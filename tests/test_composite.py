@@ -12,9 +12,12 @@ import pytest
 from spinframes import (
     EPS,
     IDENTITY,
+    CGTable,
     FrameTag,
     ParticleDescriptor,
+    TwiceM,
     TwiceSpin,
+    UnitQuaternion,
     bisector_axis,
     build_pair_spin_operator,
     exclusion_check,
@@ -24,8 +27,9 @@ from spinframes import (
     project_composite,
     pseudo_antisymmetrize,
     pseudo_antisymmetry_sign,
+    wigner_D,
 )
-from oracles import max_pairwise_commuting
+from oracles import max_pairwise_commuting, project_composite_loop
 from util import figure_pair, rand_quaternion
 
 HALF = TwiceSpin(1)
@@ -158,6 +162,90 @@ def test_sheet_route_validation():
     for bad in (0, 2, -3):
         with pytest.raises(ValueError, match="sheet"):
             project_composite(state, bad)
+
+
+def loop_projection(state, route):
+    """The same projection by the entry-by-entry loop oracle, keyed by
+    doubled labels."""
+    if isinstance(route, int):
+        k = bisector_axis(state.desc_a.p, state.desc_b.p)
+        route = (IDENTITY, from_axis_angle(k, route * math.pi))
+    s_a, s_b = state.desc_a.s, state.desc_b.s
+    d_a = wigner_D(s_a, route[0]).entries
+    d_b = wigner_D(s_b, route[1]).entries
+    table = CGTable(s_a, s_b)
+
+    def coefficient(tma, tmb, tS, tM):
+        return table.coefficient(TwiceM(tma), TwiceM(tmb), TwiceSpin(tS), TwiceM(tM))
+
+    common = d_a @ state.to_matrix() @ d_b.T
+    return project_composite_loop(common, s_a.twice, s_b.twice, coefficient)
+
+
+def assert_matches_loop(state, route):
+    proj = project_composite(state, route)
+    want = loop_projection(state, route)
+    assert [(S.twice, M.twice) for S, M in proj.amplitudes] == list(want)
+    for (S, M), v in proj.amplitudes.items():
+        assert abs(v - want[(S.twice, M.twice)]) <= EPS
+
+
+def test_projection_matches_loop_oracle_all_small_spins():
+    rng = random.Random(57)
+    for ts_a in range(7):
+        for ts_b in range(7):
+            da, db = slot_pair(ts_a, ts_b)
+            mat = rand_matrix(rng, da.s.dim, db.s.dim)
+            state = pair_state_from_matrix(da, db, mat / np.linalg.norm(mat))
+            for route in (1, -1, (rand_quaternion(rng), rand_quaternion(rng))):
+                assert_matches_loop(state, route)
+
+
+def test_projection_matches_loop_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.floats(-1.0, 1.0)
+
+    @st.composite
+    def quaternions(draw):
+        comps = draw(st.tuples(unit, unit, unit, unit).filter(
+            lambda c: math.fsum(x * x for x in c) > 1e-6
+        ))
+        n = math.sqrt(math.fsum(x * x for x in comps))
+        return UnitQuaternion(*(x / n for x in comps))
+
+    @st.composite
+    def cases(draw):
+        ts_a, ts_b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        n = (ts_a + 1) * (ts_b + 1)
+        parts = draw(st.lists(unit, min_size=2 * n, max_size=2 * n))
+        mat = np.array(parts[:n]) + 1j * np.array(parts[n:])
+        route = draw(st.sampled_from((1, -1)) | st.tuples(quaternions(), quaternions()))
+        return ts_a, ts_b, mat.reshape(ts_a + 1, ts_b + 1), route
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        ts_a, ts_b, mat, route = case
+        da, db = slot_pair(ts_a, ts_b)
+        assert_matches_loop(pair_state_from_matrix(da, db, mat), route)
+
+    check()
+
+
+def test_projections_do_not_share_amplitudes():
+    rng = random.Random(58)
+    da, db = slot_pair(3, 2)
+    mat = rand_matrix(rng, da.s.dim, db.s.dim)
+    state = pair_state_from_matrix(da, db, mat / np.linalg.norm(mat))
+    first = project_composite(state, 1)
+    second = project_composite(state, 1)
+    assert first.amplitudes is not second.amplitudes
+    key = next(iter(first.amplitudes))
+    before = second.amplitudes[key]
+    first.amplitudes[key] = 7.0
+    assert second.amplitudes[key] == before
+    assert project_composite(state, 1).amplitudes[key] == before
 
 
 def test_amplitude_label_validation():

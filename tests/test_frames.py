@@ -76,6 +76,50 @@ def test_non_finite_momenta_rejected():
                 helicity_frame(good, p)
 
 
+def pow2_scaled(p: Vec3, k: int) -> Vec3:
+    return Vec3(math.ldexp(p.x, k), math.ldexp(p.y, k), math.ldexp(p.z, k))
+
+
+def test_frame_and_bisector_exact_under_power_of_two_scaling():
+    rng = random.Random(36)
+    for _ in range(50):
+        p_a, p_b = rand_noncollinear_pair(rng)
+        frame = helicity_frame(p_a, p_b)
+        k = bisector_axis(p_a, p_b)
+        for ka, kb in ((-990, -990), (-990, 1000), (1000, 1000), (600, -3)):
+            big_a, big_b = pow2_scaled(p_a, ka), pow2_scaled(p_b, kb)
+            assert helicity_frame(big_a, big_b) == frame
+            assert bisector_axis(big_a, big_b) == k
+
+
+def test_frame_bits_match_unscaled_arithmetic_in_range():
+    rng = random.Random(37)
+    for _ in range(200):
+        p_a, p_b = rand_noncollinear_pair(rng)
+        p_a = p_a.scaled(rng.choice((1e-6, 1.0, 3.0, 1e6)))
+        p_b = p_b.scaled(rng.uniform(0.1, 10.0))
+        zhat = p_a.scaled(1.0 / p_a.norm())
+        normal = p_a.cross(p_b)
+        yhat = normal.scaled(1.0 / normal.norm())
+        frame = helicity_frame(p_a, p_b)
+        assert (frame.zhat, frame.yhat, frame.xhat) == (zhat, yhat, yhat.cross(zhat))
+
+
+def test_extreme_momentum_scales():
+    unit = helicity_frame(Vec3(1.0, 0.0, 1.0), Vec3(-1.0, 0.0, 1.0))
+    for c in (1e-10, 1e-300, 5e-324, 1e200, 1e300):
+        p_a, p_b = Vec3(c, 0.0, c), Vec3(-c, 0.0, c)
+        f = helicity_frame(p_a, p_b)
+        for got, want in ((f.xhat, unit.xhat), (f.yhat, unit.yhat), (f.zhat, unit.zhat)):
+            assert close(got, want)
+        assert close(bisector_axis(p_a, p_b), Vec3(0.0, 0.0, 1.0))
+    f = helicity_frame(Vec3(1e300, 0.0, 0.0), Vec3(0.0, 1e-300, 0.0))
+    assert (f.zhat, f.yhat) == (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0))
+    # 2e-200 short of antiparallel: collinear within EPS_GEOM at any scale
+    with pytest.raises(CollinearMomentaError, match="collinear"):
+        helicity_frame(Vec3(1e200, 0.0, 1.0), Vec3(-1e200, 0.0, 1.0))
+
+
 def test_random_frames_orthonormal_and_adapted():
     rng = random.Random(31)
     for _ in range(1000):

@@ -1,7 +1,8 @@
 """Spin-s rotation matrices and coupling coefficients against independent
 oracles: the angle-based reduced-matrix sum formula, a per-entry loop over
-the Cayley-Klein monomials, sympy's Wigner D where sympy is installed, and a
-ladder-operator construction of the coupling table."""
+the Cayley-Klein monomials, sympy's Wigner D and Clebsch-Gordan coefficients
+where sympy is installed, and a ladder-operator construction of the coupling
+table."""
 
 import cmath
 import math
@@ -255,6 +256,69 @@ def test_cg_table_orthonormality_both_ways():
                 )
                 want = 1.0 if (S, M) == (Sp, Mp) else 0.0
                 assert abs(acc - want) < 1e-12
+
+
+def test_cg_table_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan as sympy_cg
+
+    half = sympy.Rational(1, 2)
+    for tj1, tj2 in ((1, 1), (2, 3), (3, 4), (8, 8)):
+        s1, s2 = TwiceSpin(tj1), TwiceSpin(tj2)
+        table = CGTable(s1, s2)
+        labels = [(m1, m2) for m1 in m_range(s1) for m2 in m_range(s2)]
+        checked = 0
+        for row, (m1, m2) in enumerate(labels):
+            for col, (S, M) in enumerate(table.channels):
+                got = table.matrix[row, col]
+                if M.twice != m1.twice + m2.twice:
+                    assert got == 0.0
+                    continue
+                want = float(
+                    sympy_cg(
+                        tj1 * half, tj2 * half, S.twice * half,
+                        m1.twice * half, m2.twice * half, M.twice * half,
+                    )
+                )
+                assert abs(got - want) <= EPS
+                assert table.coefficient(m1, m2, S, M) == got
+                checked += 1
+        # every coefficient the pair has, once each
+        assert checked == sum(
+            1
+            for m1, m2 in labels
+            for S in table.allowed_total_spins()
+            if abs(m1.twice + m2.twice) <= S.twice
+        )
+
+
+def test_cg_matrix_is_orthogonal():
+    for tj1 in range(7):
+        for tj2 in range(7):
+            c = CGTable(TwiceSpin(tj1), TwiceSpin(tj2)).matrix
+            eye = np.eye(c.shape[0])
+            assert c.shape == eye.shape
+            assert np.abs(c.T @ c - eye).max() <= 1e-12
+            assert np.abs(c @ c.T - eye).max() <= 1e-12
+
+
+def test_cg_table_is_read_only():
+    table = CGTable(TwiceSpin(2), TwiceSpin(3))
+    with pytest.raises(ValueError):
+        table.matrix[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        table._table[(2, 3, 5)] = 0.5
+    with pytest.raises(TypeError):
+        del table._table[(2, 3, 5)]
+
+
+def test_cg_tables_of_one_pair_share_the_plan():
+    s1, s2 = TwiceSpin(3), TwiceSpin(4)
+    first, second = CGTable(s1, s2), CGTable(s1, s2)
+    assert first.matrix is second.matrix
+    assert first.channels is second.channels
+    assert first._table is second._table
+    assert CGTable(s2, s1).matrix is not first.matrix
 
 
 def test_cg_table_out_of_range_total_spin():
