@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .exactnum import TwiceSpin, neg_one_pow
+from .exactnum import TwiceSpin, order_dependence_phase
 
 # Largest N of the impossibility report: a scale guard on building K_N,
 # whose N(N-1)/2 constraints grow quadratically.
@@ -53,19 +53,15 @@ class ParityLedger:
 def exchange_sign(
     before: ParityLedger, after: ParityLedger, spins: list[TwiceSpin]
 ) -> int:
-    """Sign (-1)^(sum_i delta_n_i * 2s_i) collected in passing from one
-    ledger to the other; only per-particle total parities matter."""
+    """Sign (-1)^(sum_i delta_n_i * 2s_i) collected in passing from one ledger
+    to the other: the turn-sign law on the per-particle total deltas."""
     if before.n_particles != after.n_particles:
         raise ValueError("ledgers have different particle counts")
-    if len(spins) != before.n_particles:
-        raise ValueError(
-            f"need {before.n_particles} spins, got {len(spins)}"
-        )
-    total = 0
-    for i, s in enumerate(spins):
-        delta = after.particle_total(i) - before.particle_total(i)
-        total += delta * s.twice
-    return neg_one_pow(total)
+    deltas = [
+        after.particle_total(i) - before.particle_total(i)
+        for i in range(before.n_particles)
+    ]
+    return order_dependence_phase(deltas, spins)
 
 
 def check_noninterference(

@@ -14,7 +14,7 @@ from typing import TextIO
 
 from .antisym_checker import impossibility_report, n2_only_pattern, report_lines
 from .composite import exclusion_check
-from .exactnum import EPS, TwiceSpin, fmt15, m_range, neg_one_pow
+from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import (
     CollinearMomentaError,
     bisector_axis,
@@ -107,7 +107,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         abs(ratio.imag) > EPS
         or discrepancy not in (1, -1)
         or residual > 10 * EPS
-        or discrepancy != neg_one_pow(s_a.twice + s_b.twice)
+        or discrepancy != order_dependence_phase([1, 1], [s_a, s_b])
     ):
         out.write("case discrepancy check failed\n")
         return 1

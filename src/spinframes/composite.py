@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, neg_one_pow
+from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import bisector_axis
 from .rotations import IDENTITY, UnitQuaternion, from_axis_angle
 from .states import PairState
@@ -106,7 +106,7 @@ def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
         raise ValueError(
             f"matrix shape {psi.shape} does not match spin dimension {s.dim}"
         )
-    out = psi + neg_one_pow(s.twice) * psi.T
+    out = psi + order_dependence_phase([1], [s]) * psi.T
     norm = np.linalg.norm(out)
     if norm < EPS:
         raise ValueError("projection annihilates this matrix entirely")
@@ -118,10 +118,10 @@ def pseudo_antisymmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:
     order-independent common-frame descriptions.
 
     The swap symmetry (-1)^(2s - S) of the coefficients combines with the
-    (-1)^(2s) from the half-turn relating the two particles' frames; the
-    product is (-1)^S, so the sign is +1 exactly for even S.
+    half-turn relating the two frames, squared: one full turn, (-1)^(2s).
+    The product is (-1)^S, so the sign is +1 exactly for even S.
     """
-    return exchange_symmetry_sign(s, S) * neg_one_pow(s.twice)
+    return exchange_symmetry_sign(s, S) * order_dependence_phase([1], [s])
 
 
 def exclusion_check(s: TwiceSpin) -> set[TwiceSpin]:

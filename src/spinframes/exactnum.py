@@ -3,6 +3,10 @@
 Spins and spin projections are carried as doubled integers (2s and 2m), so
 half-integer labels never touch floating point and every sign rule reduces
 to integer parity.
+
+The one turn-sign law, (-1)^(sum_i n_i * 2s_i) for n_i full turns on particle
+i's frame, is order_dependence_phase; every turn sign in the package comes
+from it, and neg_one_pow directly serves only the coupling signs.
 """
 
 from __future__ import annotations
@@ -100,6 +104,21 @@ def neg_one_pow(k: int) -> int:
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"exponent must be an int, got {k!r}")
     return 1 if k % 2 == 0 else -1
+
+
+def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
+    """Net sign (-1)^(sum_i n_i * 2s_i) collected when particle i's frame is
+    turned through n_i full turns; only the parities of the n_i matter."""
+    if len(n) != len(spins):
+        raise ValueError(
+            f"need one turn count per particle: {len(n)} counts, {len(spins)} spins"
+        )
+    total = 0
+    for n_i, s_i in zip(n, spins):
+        if isinstance(n_i, bool) or not isinstance(n_i, int):
+            raise TypeError(f"turn counts must be ints, got {n_i!r}")
+        total += n_i * s_i.twice
+    return neg_one_pow(total)
 
 
 def complex_close(z1: complex, z2: complex, tol: float = EPS) -> bool:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .rotations import EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, to_matrix3
-from .rotations import _require_right_handed_triad
+from .rotations import _pow2_scaled, _require_right_handed_triad
 
 
 class CollinearMomentaError(ValueError):
@@ -41,14 +41,6 @@ class HelicityFrame:
     def to_quaternion(self) -> UnitQuaternion:
         """Lift of the triad on the fixed branch of frame_to_quaternion."""
         return frame_to_quaternion(self.xhat, self.yhat, self.zhat)
-
-
-def _pow2_scaled(p: Vec3) -> Vec3:
-    """p times the power of two that brings its largest component into
-    [0.5, 1); exact, so the direction is kept bit for bit and no later square
-    overflows or underflows. The zero vector stays zero."""
-    _, e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))
-    return Vec3(math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e))
 
 
 def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:

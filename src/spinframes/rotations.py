@@ -93,14 +93,29 @@ class UnitQuaternion:
 IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 
 
+def _pow2_scaled(p: Vec3) -> Vec3:
+    """p times the power of two that brings its largest component into
+    [0.5, 1); exact, so the direction is kept bit for bit and no later square
+    overflows or underflows. The zero vector stays zero."""
+    _, e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))
+    return Vec3(math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e))
+
+
 def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     """Rotation by angle about axis, as a point on the double cover.
 
     The angle is taken mod 4*pi in effect: angle and angle + 2*pi give
     quaternions of opposite overall sign, angle + 4*pi returns the same one.
+    Any finite non-zero axis works: it is first scaled by a power of two, so
+    in-range axes give the bits of unscaled arithmetic.
     """
+    if not all(math.isfinite(c) for c in (axis.x, axis.y, axis.z)):
+        raise ValueError(f"rotation axis {axis.x!r},{axis.y!r},{axis.z!r} is not finite")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle {angle!r} is not finite")
+    axis = _pow2_scaled(axis)
     n = axis.norm()
-    if n < EPS_GEOM:
+    if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * angle
     c = math.cos(half)

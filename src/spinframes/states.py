@@ -9,9 +9,10 @@ The joint basis label is the UNORDERED pair of single-particle labels, sorted
 by a total order on the labels themselves, never by argument position. On
 that basis, permuting the argument order of a description is literally the
 identity map; all the physics of exchange lives in the descriptions'
-rotations instead. Order-dependent conventions, where the second slot's
-rotation is derived from the first's through a half-turn about the momentum
-bisector, pick up the (-1)^(2s) phases computed here.
+rotations instead. The basis layout is spelled out once, in _joint_keys.
+Order-dependent conventions, where the second slot's rotation is derived
+from the first's through a half-turn about the momentum bisector, pick up
+(-1)^(2s) phases from the turn-sign law order_dependence_phase (exactnum).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, neg_one_pow
+from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, order_dependence_phase
 from .frames import bisector_axis, helicity_frame
 from .rotations import UnitQuaternion, Vec3, compose, from_axis_angle, inverse
 from .wigner import wigner_D
@@ -104,6 +105,17 @@ def _joint_key(label_1: _Label, label_2: _Label) -> _JointKey:
     return (label_1, label_2) if label_1 <= label_2 else (label_2, label_1)
 
 
+def _joint_keys(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> list[_JointKey]:
+    """The pair's joint keys row by row, lambda_a descending then lambda_b
+    descending: the row-major order of its amplitude matrix."""
+    key_a, key_b = desc_a.content_key(), desc_b.content_key()
+    ta, tb = desc_a.s.twice, desc_b.s.twice
+    return [
+        _joint_key((key_a, la), (key_b, lb))
+        for la in range(ta, -ta - 1, -2) for lb in range(tb, -tb - 1, -2)
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class PairState:
     """Two-particle state on the content-keyed helicity basis.
@@ -152,16 +164,9 @@ class PairState:
                 "joint amplitudes of identical-content pairs are stored on a "
                 "merged basis and have no slot-ordered matrix form"
             )
-        key_a = self.desc_a.content_key()
-        key_b = self.desc_b.content_key()
-        rows = m_range(self.desc_a.s)
-        cols = m_range(self.desc_b.s)
-        out = np.zeros((len(rows), len(cols)), dtype=complex)
-        for i, la in enumerate(rows):
-            for j, lb in enumerate(cols):
-                key = _joint_key((key_a, la.twice), (key_b, lb.twice))
-                out[i, j] = self.amplitudes.get(key, 0j)
-        return out
+        keys = _joint_keys(self.desc_a, self.desc_b)
+        out = np.array([self.amplitudes.get(k, 0j) for k in keys], dtype=complex)
+        return out.reshape(self.desc_a.s.dim, self.desc_b.s.dim)
 
     def allclose(self, other: PairState, tol: float = EPS) -> bool:
         """Same descriptor pair and amplitudes equal within tol, key by key."""
@@ -186,20 +191,17 @@ class PairState:
     def dump(self) -> str:
         """Serialize: header with both descriptors, then one line per joint
         label as `(lambda_a_twice, lambda_b_twice) re im`, 15 significant
-        digits, labels descending."""
+        digits, labels descending. Distinct content lists every basis label
+        (desc_a's first, as it sorts first), merged content the stored ones."""
         lines = [f"pair: {self.desc_a} ; {self.desc_b}"]
         if self.merged_content():
-            for key in sorted(self.amplitudes, reverse=True):
-                (_, l1), (_, l2) = key
-                v = self.amplitudes[key]
-                lines.append(f"({l1}, {l2}) {fmt15(v.real)} {fmt15(v.imag)}")
+            keys = sorted(self.amplitudes, reverse=True)
         else:
-            for la in m_range(self.desc_a.s):
-                for lb in m_range(self.desc_b.s):
-                    v = self.amplitude(la, lb)
-                    lines.append(
-                        f"({la.twice}, {lb.twice}) {fmt15(v.real)} {fmt15(v.imag)}"
-                    )
+            keys = _joint_keys(self.desc_a, self.desc_b)
+        for key in keys:
+            (_, l1), (_, l2) = key
+            v = self.amplitudes.get(key, 0j)
+            lines.append(f"({l1}, {l2}) {fmt15(v.real)} {fmt15(v.imag)}")
         return "\n".join(lines) + "\n"
 
 
@@ -258,15 +260,12 @@ def assemble_pair_canonical_orderfree(
     their amplitudes add.
     """
     _require_noncollinear(desc_a, desc_b)
-    col_a = rotate_sqf(desc_a, R_a)
-    col_b = rotate_sqf(desc_b, R_b)
-    key_a = desc_a.content_key()
-    key_b = desc_b.content_key()
+    col_a = rotate_sqf(desc_a, R_a).tolist()
+    col_b = rotate_sqf(desc_b, R_b).tolist()
+    products = [x * y for x in col_a for y in col_b]
     amps: dict[_JointKey, complex] = {}
-    for i, la in enumerate(m_range(desc_a.s)):
-        for j, lb in enumerate(m_range(desc_b.s)):
-            key = _joint_key((key_a, la.twice), (key_b, lb.twice))
-            amps[key] = amps.get(key, 0j) + complex(col_a[i]) * complex(col_b[j])
+    for key, v in zip(_joint_keys(desc_a, desc_b), products):
+        amps[key] = amps.get(key, 0j) + v
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
 
 
@@ -281,9 +280,7 @@ def pair_state_from_matrix(
     For building superpositions directly; contents must be distinct so the
     matrix rows/columns attach unambiguously to the two particles.
     """
-    key_a = desc_a.content_key()
-    key_b = desc_b.content_key()
-    if key_a == key_b:
+    if desc_a.content_key() == desc_b.content_key():
         raise ValueError(
             "identical particle content: a slot-ordered matrix does not "
             "determine merged-basis amplitudes"
@@ -294,11 +291,8 @@ def pair_state_from_matrix(
             f"({desc_a.s.dim}, {desc_b.s.dim})"
         )
     _require_noncollinear(desc_a, desc_b)
-    amps: dict[_JointKey, complex] = {}
-    for i, la in enumerate(m_range(desc_a.s)):
-        for j, lb in enumerate(m_range(desc_b.s)):
-            key = _joint_key((key_a, la.twice), (key_b, lb.twice))
-            amps[key] = complex(matrix[i, j])
+    values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
+    amps = dict(zip(_joint_keys(desc_a, desc_b), values))
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
 
 
@@ -332,9 +326,9 @@ def exchange_order_dependent(
         turn lands on the new slot-1 particle instead; phase (-1)^(2s) of
         the particle originally in slot 2.
 
-    Returns the exchanged state and that phase; the exchanged state equals
-    phase times the assembled original within EPS. The two cases differ from
-    each other by (-1)^(2s_a + 2s_b), a full turn on both frames.
+    Returns the exchanged state and that phase, order_dependence_phase of
+    turn counts (1, 0) or (0, 1); the exchanged state equals phase times the
+    assembled original within EPS. The cases differ by (-1)^(2s_a + 2s_b).
     """
     if len(ordered.slots) != 2:
         raise ValueError(
@@ -344,17 +338,16 @@ def exchange_order_dependent(
     r21 = from_axis_angle(bisector_axis(d1.p, d2.p), math.pi)
     if case is ExchangeCase.FIRST:
         new_first_rotation = d2.R_BS  # equals compose(d1.R_BS, r21)
-        phase = neg_one_pow(d1.s.twice)
+        turns = [1, 0]
     elif case is ExchangeCase.SECOND:
         new_first_rotation = compose(d1.R_BS, inverse(r21))
-        phase = neg_one_pow(d2.s.twice)
+        turns = [0, 1]
     else:
         raise ValueError(f"unknown exchange case {case!r}")
     exchanged = OrderedDescription(
         [replace(d2, R_BS=new_first_rotation), d1]
     )
-    state = assemble_ordered(exchanged)
-    return state, phase
+    return assemble_ordered(exchanged), order_dependence_phase(turns, [d1.s, d2.s])
 
 
 def assemble_ordered(ordered: OrderedDescription) -> PairState:
@@ -365,18 +358,3 @@ def assemble_ordered(ordered: OrderedDescription) -> PairState:
         )
     d1, d2 = ordered.slots
     return assemble_pair_canonical_orderfree(d1, d2, d1.R_BS, d2.R_BS)
-
-
-def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
-    """Net sign (-1)^(sum_i n_i * 2s_i) collected when particle i's frame is
-    turned through n_i full turns; only the parities of the n_i matter."""
-    if len(n) != len(spins):
-        raise ValueError(
-            f"need one turn count per particle: {len(n)} counts, {len(spins)} spins"
-        )
-    total = 0
-    for n_i, s_i in zip(n, spins):
-        if isinstance(n_i, bool) or not isinstance(n_i, int):
-            raise TypeError(f"turn counts must be ints, got {n_i!r}")
-        total += n_i * s_i.twice
-    return neg_one_pow(total)

@@ -17,6 +17,7 @@ from spinframes import (
     exhaustive_satisfiable,
     impossibility_report,
     n2_only_pattern,
+    order_dependence_phase,
     report_lines,
 )
 from oracles import parity_assignments
@@ -64,6 +65,23 @@ def test_exchange_sign_is_multiplicative_over_steps():
         assert exchange_sign(a, c, spins) == exchange_sign(a, b, spins) * exchange_sign(
             b, c, spins
         )
+
+
+def test_exchange_sign_is_the_turn_law_on_total_deltas():
+    rng = random.Random(62)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        spins = [TwiceSpin(rng.randint(0, 6)) for _ in range(n)]
+        before = ParityLedger.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        )
+        after = ParityLedger.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        )
+        deltas = [after.particle_total(i) - before.particle_total(i) for i in range(n)]
+        want = (-1) ** sum(d * s.twice for d, s in zip(deltas, spins))
+        assert exchange_sign(before, after, spins) == want
+        assert order_dependence_phase(deltas, spins) == want
 
 
 def test_exchange_sign_validation():

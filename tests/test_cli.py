@@ -60,6 +60,55 @@ def test_dmatrix_third_turn_about_y():
     )
 
 
+def test_dmatrix_golden_bytes():
+    # bytes of the report before rotation axes were rescaled by powers of two
+    r = run_cli("dmatrix", "--s2", "3", "--axis", "0.1,0.9,-0.2", "--angle", "2.1")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == (
+        "dmatrix: s2=3 axis=0.1,0.9,-0.2 angle=2.1\n"
+        "m2_order: 3 1 -1 -3\n"
+        "(3, 3) 0.0709475036371317 0.132398216628815\n"
+        "(3, 1) -0.279801429652511 -0.305885236659955\n"
+        "(3, -1) 0.552183141297722 0.362513641781529\n"
+        "(3, -3) -0.574490133528489 -0.19804360728475\n"
+        "(1, 3) 0.340122544293659 0.237004795110381\n"
+        "(1, 1) -0.573341114216747 -0.215560806764337\n"
+        "(1, -1) 0.128193762827644 0.0142437514252938\n"
+        "(1, -3) 0.654239151525247 -0.0910686258963609\n"
+        "(-1, 3) 0.654239151525247 0.0910686258963609\n"
+        "(-1, 1) -0.128193762827644 0.0142437514252937\n"
+        "(-1, -1) -0.573341114216747 0.215560806764337\n"
+        "(-1, -3) -0.340122544293659 0.237004795110381\n"
+        "(-3, 3) 0.574490133528489 -0.19804360728475\n"
+        "(-3, 1) 0.552183141297722 -0.362513641781529\n"
+        "(-3, -1) 0.279801429652511 -0.305885236659955\n"
+        "(-3, -3) 0.0709475036371317 -0.132398216628815\n"
+    )
+
+
+def test_dmatrix_extreme_axis_scales():
+    unit = run_cli("dmatrix", "--s2", "1", "--axis", "1,0,0", "--angle", "1.0")
+    assert unit.stdout.splitlines()[2:] == [
+        "(1, 1) 0.877582561890373 0",
+        "(1, -1) 0 -0.479425538604203",
+        "(-1, 1) 0 -0.479425538604203",
+        "(-1, -1) 0.877582561890373 0",
+    ]
+    for axis in ("1e200,0,0", "1e-200,0,0", "1e-10,0,0"):
+        r = run_cli("dmatrix", "--s2", "1", "--axis", axis, "--angle", "1.0")
+        assert (r.returncode, r.stderr) == (0, ""), axis
+        assert r.stdout.splitlines()[2:] == unit.stdout.splitlines()[2:]
+
+
+def test_dmatrix_non_finite_input_named():
+    for args, message in (
+        (("--axis", "nan,0,0", "--angle", "1.0"), "error: rotation axis nan,0.0,0.0 is not finite\n"),
+        (("--axis", "0,0,1", "--angle", "inf"), "error: rotation angle inf is not finite\n"),
+    ):
+        r = run_cli("dmatrix", "--s2", "1", *args)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
+
+
 def test_exchange_phase_lines():
     cases = {
         ("1", "1", "first"): "phase=-1 case_discrepancy=+1\n",
@@ -212,6 +261,8 @@ def test_input_errors_exit_2():
         ("dmatrix", "--s2", "1", "--axis", "1,2", "--angle", "1.0"),
         ("dmatrix", "--s2", "1", "--axis", "0,0,0", "--angle", "1.0"),
         ("dmatrix", "--s2", "1", "--axis", "0,0,1", "--angle", "nan"),
+        ("dmatrix", "--s2", "1", "--axis", "nan,0,0", "--angle", "1.0"),
+        ("dmatrix", "--s2", "1", "--axis", "1,-inf,0", "--angle", "1.0"),
         ("impossibility", "--n", "1"),
         ("impossibility", "--n", "25"),
         ("frames", "--pa", "nan,0,1", "--pb=-1,0,1"),

@@ -20,9 +20,11 @@ from spinframes import (
     UnitQuaternion,
     bisector_axis,
     build_pair_spin_operator,
+    exchange_symmetry_sign,
     exclusion_check,
     from_axis_angle,
     max_commuting_pairset,
+    order_dependence_phase,
     pair_state_from_matrix,
     project_composite,
     pseudo_antisymmetrize,
@@ -278,6 +280,11 @@ def test_pseudo_antisymmetrize_shapes_and_parity():
     assert abs(np.linalg.norm(anti) - 1.0) < EPS
     sym = pseudo_antisymmetrize(rand_matrix(rng, 3, 3), ONE)
     assert np.abs(sym - sym.T).max() < EPS
+    # the kept eigenspace is the one of a full turn on spin s, exactly
+    for ts in range(1, 7):
+        s = TwiceSpin(ts)
+        psi = pseudo_antisymmetrize(rand_matrix(rng, s.dim, s.dim), s)
+        assert np.array_equal(psi.T, order_dependence_phase([1], [s]) * psi)
     with pytest.raises(ValueError, match="shape"):
         pseudo_antisymmetrize(rand_matrix(rng, 3, 3), HALF)
     with pytest.raises(ValueError, match="annihilates"):
@@ -288,12 +295,15 @@ def test_pseudo_antisymmetry_sign_examples_and_even_rule():
     assert pseudo_antisymmetry_sign(HALF, TwiceSpin(0)) == 1
     assert pseudo_antisymmetry_sign(HALF, TwiceSpin(2)) == -1
     assert pseudo_antisymmetry_sign(ONE, TwiceSpin(4)) == 1
-    for ts in range(1, 7):
+    for ts in range(13):
         s = TwiceSpin(ts)
         for tS in range(0, 2 * ts + 1, 2):
             S = TwiceSpin(tS)
             want = 1 if tS % 4 == 0 else -1  # +1 exactly when S is an even integer
             assert pseudo_antisymmetry_sign(s, S) == want
+            # the coupling swap sign times one full turn on spin s
+            full_turn = order_dependence_phase([1], [s])
+            assert want == exchange_symmetry_sign(s, S) * full_turn
 
 
 def test_exclusion_examples():

@@ -63,6 +63,48 @@ def test_from_axis_angle_opposite_half_turns_negate():
 def test_from_axis_angle_zero_axis_rejected():
     with pytest.raises(ValueError):
         from_axis_angle(Vec3(0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        from_axis_angle(Vec3(-0.0, 0.0, -0.0), 1.0)
+
+
+def test_from_axis_angle_rejects_non_finite_axis_and_angle():
+    for bad in (math.nan, math.inf, -math.inf):
+        for axis in (Vec3(bad, 0.0, 0.0), Vec3(1.0, bad, 0.0), Vec3(0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="axis .* is not finite"):
+                from_axis_angle(axis, 1.0)
+        with pytest.raises(ValueError, match="angle .* is not finite"):
+            from_axis_angle(ZHAT, bad)
+
+
+def scaled_axis(v: Vec3, k: int) -> Vec3:
+    return Vec3(math.ldexp(v.x, k), math.ldexp(v.y, k), math.ldexp(v.z, k))
+
+
+def test_from_axis_angle_exact_under_power_of_two_scaling():
+    rng = random.Random(17)
+    for _ in range(200):
+        axis = Vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        angle = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
+        q = from_axis_angle(axis, angle)
+        for k in (-1000, -500, -40, 40, 500, 1000):
+            assert from_axis_angle(scaled_axis(axis, k), angle) == q, k
+        # in range, the bits are those of unscaled arithmetic
+        n = axis.norm()
+        s = math.sin(0.5 * angle) / n
+        assert q == UnitQuaternion(math.cos(0.5 * angle), s * axis.x, s * axis.y, s * axis.z)
+
+
+def test_from_axis_angle_extreme_axis_scales():
+    want = from_axis_angle(Vec3(1.0, 0.0, 0.0), 1.0)
+    for axis in (
+        Vec3(1e200, 0.0, 0.0),
+        Vec3(1.7e308, 0.0, 0.0),
+        Vec3(1e-10, 0.0, 0.0),
+        Vec3(1e-200, 0.0, 0.0),
+        Vec3(5e-324, 0.0, 0.0),
+        Vec3(1e300, 1e-300, 0.0),
+    ):
+        assert quaternion_close(from_axis_angle(axis, 1.0), want), axis
 
 
 def test_compose_two_half_turns_is_minus_identity():

@@ -43,6 +43,12 @@ def make_desc(q_label, p, ts, tm, base=FrameTag.CANONICAL, r=IDENTITY):
     return ParticleDescriptor(Q=q_label, p=p, s=s, m=s.component(tm), base=base, R_BS=r)
 
 
+def rand_matrix_like(rng, rows, cols):
+    return np.array(
+        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
 def test_descriptor_validates_projection():
     with pytest.raises(ValueError):
         make_desc("u", ZHAT, 1, 2)
@@ -192,17 +198,124 @@ def test_pair_state_from_matrix_round_trip():
     rng = random.Random(46)
     p_a, p_b = figure_pair(1.1)
     # labels chosen already in canonical order so rows stay attached to da
+    for ts_a in range(7):
+        for ts_b in range(7):
+            da = make_desc("a", p_a, ts_a, ts_a)
+            db = make_desc("b", p_b, ts_b, -ts_b)
+            mat = rand_matrix_like(rng, ts_a + 1, ts_b + 1)
+            state = pair_state_from_matrix(da, db, mat)
+            assert state.to_matrix().shape == mat.shape
+            assert np.abs(state.to_matrix() - mat).max() == 0.0, (ts_a, ts_b)
+            # a real matrix reads back with zero imaginary parts
+            real = pair_state_from_matrix(da, db, mat.real)
+            assert np.abs(real.to_matrix() - mat.real).max() == 0.0
     da = make_desc("a", p_a, 1, 1)
     db = make_desc("b", p_b, 2, 0)
-    mat = np.array(
-        [[rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(3)] for _ in range(2)]
-    )
-    state = pair_state_from_matrix(da, db, mat)
-    assert np.abs(state.to_matrix() - mat).max() == 0.0
+    mat = rand_matrix_like(rng, 2, 3)
     with pytest.raises(ValueError, match="shape"):
         pair_state_from_matrix(da, db, mat.T)
     with pytest.raises(ValueError, match="identical"):
         pair_state_from_matrix(da, make_desc("a", p_a, 1, -1), np.eye(2))
+
+
+def per_entry_amplitudes(da, db, col_a, col_b):
+    """The joint amplitudes written out entry by entry: unordered labels,
+    rows lam_a descending, merged labels adding."""
+    amps = {}
+    for i, la in enumerate(range(da.s.twice, -da.s.twice - 1, -2)):
+        for j, lb in enumerate(range(db.s.twice, -db.s.twice - 1, -2)):
+            key = tuple(sorted([(da.content_key(), la), (db.content_key(), lb)]))
+            amps[key] = amps.get(key, 0j) + complex(col_a[i]) * complex(col_b[j])
+    return amps
+
+
+def test_matrix_of_descriptors_sorting_second_is_transposed():
+    rng = random.Random(52)
+    p_a, p_b = figure_pair(0.9)
+    for ts_a, ts_b in ((1, 2), (3, 0), (2, 4), (4, 4)):
+        # "z" sorts after "b" by content, so the stored pair is (db, da)
+        da = make_desc("z", p_a, ts_a, ts_a)
+        db = make_desc("b", p_b, ts_b, ts_b)
+        mat = rand_matrix_like(rng, ts_a + 1, ts_b + 1)
+        state = pair_state_from_matrix(da, db, mat)
+        assert state.desc_a is db and state.desc_b is da
+        assert np.array_equal(state.to_matrix(), mat.T)
+        for i, la in enumerate(m_range(da.s)):
+            for j, lb in enumerate(m_range(db.s)):
+                assert state.amplitude(lb, la) == mat[i, j]
+
+
+def test_assembly_bit_equal_to_per_entry_products():
+    # bit for bit, not within EPS: np.outer rounds some complex products
+    # differently from one scalar multiply per entry
+    rng = random.Random(53)
+    for trial in range(300):
+        merged = trial % 3 == 0
+        ts_a = rng.randint(0, 6)
+        ts_b = ts_a if merged else rng.randint(0, 6)
+        p_a = rand_unit_vec(rng)
+        p_b = p_a if merged else rand_unit_vec(rng)
+        da = make_desc("u", p_a, ts_a, rng.choice(range(-ts_a, ts_a + 1, 2)))
+        db = make_desc(
+            "u" if merged else rng.choice("dz"), p_b, ts_b,
+            rng.choice(range(-ts_b, ts_b + 1, 2)),
+        )
+        ra, rb = rand_quaternion(rng), rand_quaternion(rng)
+        state = assemble_pair_canonical_orderfree(da, db, ra, rb)
+        assert state.merged_content() == merged
+        want = per_entry_amplitudes(da, db, rotate_sqf(da, ra), rotate_sqf(db, rb))
+        assert list(state.amplitudes) == list(want)
+        for key, v in want.items():
+            got = state.amplitudes[key]
+            assert (got.real, got.imag) == (v.real, v.imag), (trial, key)
+            assert math.copysign(1.0, got.real) == math.copysign(1.0, v.real)
+            assert math.copysign(1.0, got.imag) == math.copysign(1.0, v.imag)
+
+
+def test_dump_matches_per_entry_rendering():
+    rng = random.Random(54)
+    for trial in range(60):
+        merged = trial % 2 == 0
+        ts_a = rng.randint(0, 4)
+        ts_b = ts_a if merged else rng.randint(0, 4)
+        p_a = rand_unit_vec(rng)
+        p_b = p_a if merged else rand_unit_vec(rng)
+        da = make_desc("u", p_a, ts_a, ts_a)
+        db = make_desc("u" if merged else "d", p_b, ts_b, -ts_b)
+        state = assemble_pair_canonical_orderfree(
+            da, db, rand_quaternion(rng), rand_quaternion(rng)
+        )
+        lines = [f"pair: {state.desc_a} ; {state.desc_b}"]
+        if merged:
+            entries = [
+                (l1, l2, v) for ((_, l1), (_, l2)), v in
+                sorted(state.amplitudes.items(), reverse=True)
+            ]
+        else:
+            entries = [
+                (la.twice, lb.twice, state.amplitude(la, lb))
+                for la in m_range(state.desc_a.s)
+                for lb in m_range(state.desc_b.s)
+            ]
+        for l1, l2, v in entries:
+            lines.append(f"({l1}, {l2}) {format(v.real + 0.0, '.15g')} "
+                         f"{format(v.imag + 0.0, '.15g')}")
+        assert state.dump() == "\n".join(lines) + "\n"
+
+
+def test_dump_lists_absent_distinct_labels_as_zero():
+    p_a, p_b = figure_pair(0.4)
+    da = make_desc("a", p_a, 1, 1)
+    db = make_desc("b", p_b, 2, 0)
+    full = pair_state_from_matrix(da, db, np.arange(6, dtype=complex).reshape(2, 3))
+    sparse = PairState(
+        desc_a=full.desc_a,
+        desc_b=full.desc_b,
+        amplitudes={k: v for k, v in full.amplitudes.items() if v != 0},
+    )
+    assert len(sparse.amplitudes) == 5
+    assert sparse.dump() == full.dump()
+    assert np.array_equal(sparse.to_matrix(), full.to_matrix())
 
 
 def test_ordered_description_derives_later_rotations():
@@ -267,7 +380,7 @@ def test_exchange_mixed_spins_case_dependent():
 
 def test_exchange_phase_depends_only_on_kept_slot_spin():
     rng = random.Random(50)
-    for ts1, ts2 in ((1, 1), (1, 2), (2, 1), (3, 2), (2, 4), (3, 3)):
+    for ts1, ts2 in ((0, 1), (1, 1), (1, 2), (2, 1), (3, 2), (2, 4), (3, 3), (4, 3)):
         p_a, p_b = figure_pair(rng.uniform(0.2, 1.3))
         d1 = make_desc("u", p_a, ts1, ts1, r=rand_quaternion(rng))
         d2 = make_desc("d", p_b, ts2, -ts2)
@@ -276,6 +389,9 @@ def test_exchange_phase_depends_only_on_kept_slot_spin():
         _, ph_second = exchange_order_dependent(od, ExchangeCase.SECOND)
         assert ph_first == (-1) ** ts1
         assert ph_second == (-1) ** ts2
+        # a full turn on the original slot 1 or slot 2
+        assert ph_first == order_dependence_phase([1, 0], [d1.s, d2.s])
+        assert ph_second == order_dependence_phase([0, 1], [d1.s, d2.s])
 
 
 def test_exchange_requires_two_slots():
