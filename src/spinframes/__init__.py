@@ -60,6 +60,7 @@ from .rotations import (
     compose,
     frame_to_quaternion,
     from_axis_angle,
+    half_turn,
     inverse,
     quaternion_close,
     to_matrix3,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import bisector_axis
-from .rotations import IDENTITY, UnitQuaternion, from_axis_angle
+from .rotations import UnitQuaternion, half_turn
 from .states import PairState
 from .wigner import CGTable, exchange_symmetry_sign, wigner_D
 
@@ -68,28 +68,26 @@ def project_composite(
 
     route says how the common frame is reached. Either a pair (R_a, R_b) of
     rotations applied to the two label slots directly, or an integer sheet
-    (+1 or -1): then R_a is the identity and R_b is the half-turn about the
-    momentum bisector on that sheet, the relation between the two sides of a
-    back-to-back pair. The sheet must be given explicitly in that form; the
-    two choices multiply every amplitude by (-1)^(2s_b), so they agree for a
-    fullon slot and differ by a global sign for a halfon slot.
+    (+1 or -1): then slot a stays put and slot b turns by the exact
+    half-turn about the momentum bisector on that sheet (rotations.half_turn),
+    the relation between the two sides of a back-to-back pair. The sheet
+    must be given explicitly in that form; the two choices multiply every
+    amplitude by exactly (-1)^(2s_b), so they agree for a fullon slot and
+    differ by a global sign for a halfon slot.
 
-    The common-frame amplitudes D_a psi D_b^T, flattened row by row, meet
-    the pair's cached Clebsch-Gordan matrix in one product. The change of
-    basis is unitary, so the channel weights sum to 1 for a normalized input.
+    The common-frame amplitudes D_a psi D_b^T (psi D_b^T on the sheet
+    route), flattened row by row, meet the pair's cached Clebsch-Gordan
+    matrix in one product. The change of basis is unitary, so the channel
+    weights sum to 1 for a normalized input.
     """
+    s_a, s_b = state.desc_a.s, state.desc_b.s
     if isinstance(route, int):
-        if route not in (1, -1):
-            raise ValueError(f"sheet must be +1 or -1, got {route!r}")
         k = bisector_axis(state.desc_a.p, state.desc_b.p)
-        r_a = IDENTITY
-        r_b = from_axis_angle(k, route * math.pi)
+        common = state.to_matrix() @ wigner_D(s_b, half_turn(k, route)).entries.T
     else:
         r_a, r_b = route
-    s_a, s_b = state.desc_a.s, state.desc_b.s
-    d_a = wigner_D(s_a, r_a).entries
-    d_b = wigner_D(s_b, r_b).entries
-    common = d_a @ state.to_matrix() @ d_b.T
+        d_a = wigner_D(s_a, r_a).entries
+        common = d_a @ state.to_matrix() @ wigner_D(s_b, r_b).entries.T
     table = CGTable(s_a, s_b)
     amps = dict(zip(table.channels, (common.reshape(-1) @ table.matrix).tolist()))
     return CompositeProjection(s_a=s_a, s_b=s_b, amplitudes=amps)

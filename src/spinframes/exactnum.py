@@ -122,10 +122,11 @@ def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
 
 
 def complex_close(z1: complex, z2: complex, tol: float = EPS) -> bool:
-    """Equality test for complex scalars at the package tolerance.
+    """Closeness of two complex scalars within tol (default EPS).
 
-    Plain == on floats is never used for derived values; this is the one
-    comparison.
+    A convenience for callers and tests; the package itself does not call
+    it. Laws that hold bit for bit, such as the double-cover sign laws, are
+    tested with plain ==.
     """
     return abs(z1 - z2) <= tol
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rotations import EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, to_matrix3
+from .rotations import (
+    EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, half_turn, to_matrix3,
+)
 from .rotations import _pow2_scaled, _require_right_handed_triad
 
 
@@ -43,6 +45,24 @@ class HelicityFrame:
         return frame_to_quaternion(self.xhat, self.yhat, self.zhat)
 
 
+def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[Vec3, Vec3]:
+    """The checks a helicity frame needs, without building one: both momenta
+    finite (else ValueError) and spanning a plane (else
+    CollinearMomentaError). Returns p_this scaled by its power of two and
+    the normal p_this x p_other of the scaled momenta."""
+    for p in (p_this, p_other):
+        if not all(math.isfinite(c) for c in (p.x, p.y, p.z)):
+            raise ValueError(f"momentum {p.x!r},{p.y!r},{p.z!r} is not finite")
+    p_this, p_other = _pow2_scaled(p_this), _pow2_scaled(p_other)
+    n_this, n_other = p_this.norm(), p_other.norm()
+    if n_this == 0.0 or n_other == 0.0:
+        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
+    normal = p_this.cross(p_other)
+    if normal.norm() < EPS_GEOM * n_this * n_other:
+        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
+    return p_this, normal
+
+
 def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     """Frame of the particle with momentum p_this, partner momentum p_other.
 
@@ -57,16 +77,8 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     is first scaled by a power of two, so any finite non-zero magnitude
     works and in-range inputs give the same bits as unscaled arithmetic.
     """
-    for p in (p_this, p_other):
-        if not all(math.isfinite(c) for c in (p.x, p.y, p.z)):
-            raise ValueError(f"momentum {p.x!r},{p.y!r},{p.z!r} is not finite")
-    p_this, p_other = _pow2_scaled(p_this), _pow2_scaled(p_other)
-    if p_this.norm() == 0.0 or p_other.norm() == 0.0:
-        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
+    p_this, normal = _spanning_normal(p_this, p_other)
     zhat = p_this.normalized()
-    normal = p_this.cross(p_other)
-    if normal.norm() < EPS_GEOM * p_this.norm() * p_other.norm():
-        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
     yhat = normal.normalized()
     xhat = yhat.cross(zhat)
     return HelicityFrame(particle_tag=tag, xhat=xhat, yhat=yhat, zhat=zhat)
@@ -105,7 +117,8 @@ def relative_rotation(
     """Double-cover rotation carrying frame_from onto frame_to.
 
     The axis is the bisector of the two z-axes and the angle is sheet * pi
-    with sheet in {+1, -1}; the two sheets are exact negatives of each other.
+    with sheet in {+1, -1}: rotations.half_turn, so the two sheets are exact
+    negatives of each other.
     There is no default sheet: a half-turn's sign is precisely the ambiguity
     this package exists to track, so the caller must choose.
 
@@ -113,12 +126,7 @@ def relative_rotation(
     frame_from onto frame_to, i.e. the frames are not the two sides of one
     momentum pair.
     """
-    if sheet not in (1, -1):
-        raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
-    k = bisector_axis(frame_from.zhat, frame_to.zhat)
-    # Half-turn about k: cos(pi/2) vanishes exactly, so the quaternion is the
-    # pure vector (0, sheet * k) and the two sheets negate componentwise.
-    q = UnitQuaternion(0.0, sheet * k.x, sheet * k.y, sheet * k.z)
+    q = half_turn(bisector_axis(frame_from.zhat, frame_to.zhat), sheet)
     r = to_matrix3(q)
     for v_from, v_to in (
         (frame_from.xhat, frame_to.xhat),

@@ -123,6 +123,21 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     return UnitQuaternion(c, s * axis.x, s * axis.y, s * axis.z)
 
 
+def half_turn(axis: Vec3, sheet: int) -> UnitQuaternion:
+    """Rotation by sheet * pi about the unit vector axis, sheet in {+1, -1}.
+
+    cos(pi/2) is taken as exactly 0, so the result is the pure quaternion
+    (0, sheet * axis): the two sheets negate componentwise, which the
+    double-cover sign laws downstream need bit for bit. The caller supplies
+    a unit axis. There is no default sheet, and bool is not accepted as one.
+    """
+    if isinstance(sheet, bool) or not isinstance(sheet, int):
+        raise TypeError(f"sheet must be an int, got {sheet!r}")
+    if sheet not in (1, -1):
+        raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
+    return UnitQuaternion(0.0, sheet * axis.x, sheet * axis.y, sheet * axis.z)
+
+
 def compose(q1: UnitQuaternion, q2: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product q1 * q2 (q2 acts first), renormalized.
 

@@ -18,15 +18,14 @@ from the first's through a half-turn about the momentum bisector, pick up
 from __future__ import annotations
 
 import enum
-import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, order_dependence_phase
-from .frames import bisector_axis, helicity_frame
-from .rotations import UnitQuaternion, Vec3, compose, from_axis_angle, inverse
+from .frames import _spanning_normal, bisector_axis
+from .rotations import UnitQuaternion, Vec3, compose, half_turn, inverse
 from .wigner import wigner_D
 
 
@@ -47,14 +46,6 @@ class ExchangeCase(enum.Enum):
     SECOND = "SECOND"
 
 
-def _f64_bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
-def _vec_bits(p: Vec3) -> tuple[int, int, int]:
-    return (_f64_bits(p.x), _f64_bits(p.y), _f64_bits(p.z))
-
-
 @dataclass(frozen=True)
 class ParticleDescriptor:
     """One particle: content (Q, p, s), projection m, and quantization frame.
@@ -69,22 +60,31 @@ class ParticleDescriptor:
     m: TwiceM
     base: FrameTag
     R_BS: UnitQuaternion
+    # Both keys are built once, on construction (dataclasses.replace builds
+    # anew); they stay out of __init__, ==, hash and repr.
+    _content_key: tuple = field(init=False, repr=False, compare=False)
+    _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.s.component(self.m.twice)
+        p, r = self.p, self.R_BS
+        content = (
+            self.Q, struct.unpack("<3Q", struct.pack("<3d", p.x, p.y, p.z)), self.s.twice
+        )
+        rotation = struct.unpack("<4Q", struct.pack("<4d", r.w, r.x, r.y, r.z))
+        object.__setattr__(self, "_content_key", content)
+        object.__setattr__(
+            self, "_sort_key", (content, self.m.twice, self.base.value, rotation)
+        )
 
     def content_key(self) -> tuple:
         """Total-order key for the particle content; Q compares bytewise and
         momentum components compare by float bit pattern."""
-        return (self.Q, _vec_bits(self.p), self.s.twice)
+        return self._content_key
 
     def sort_key(self) -> tuple:
-        return (
-            self.content_key(),
-            self.m.twice,
-            self.base.value,
-            tuple(_f64_bits(c) for c in self.R_BS.components()),
-        )
+        """content_key, then 2m, the base tag and R_BS's bit patterns."""
+        return self._sort_key
 
     def __str__(self) -> str:
         px, py, pz = (fmt15(self.p.x), fmt15(self.p.y), fmt15(self.p.z))
@@ -210,23 +210,29 @@ class OrderedDescription:
     """Slot-ordered list of descriptors with the derived-rotation convention.
 
     Only the first slot's rotation is free. Each later slot's R_BS is
-    replaced on construction by R_prev * R_k(+pi), the half-turn about the
-    bisector of the adjacent momenta on the +pi sheet. Exchanging slots
+    replaced on construction by R_prev * half_turn(k, +1), the exact
+    half-turn on the +1 sheet about the bisector k of the adjacent momenta.
+    half_turns keeps these, half_turns[i] relating slots i and i + 1; it is
+    derived from the slots, so it stays out of == and repr. Exchanging slots
     therefore changes rotations, not just positions; that is the point.
     """
 
     slots: tuple[ParticleDescriptor, ...]
+    half_turns: tuple[UnitQuaternion, ...] = field(repr=False, compare=False)
 
     def __init__(self, slots: list[ParticleDescriptor] | tuple[ParticleDescriptor, ...]) -> None:
         slots = tuple(slots)
         if len(slots) < 1:
             raise ValueError("ordered description needs at least one slot")
         derived = [slots[0]]
+        half_turns = []
         for nxt in slots[1:]:
             prev = derived[-1]
-            r21 = from_axis_angle(bisector_axis(prev.p, nxt.p), math.pi)
+            r21 = half_turn(bisector_axis(prev.p, nxt.p), 1)
             derived.append(replace(nxt, R_BS=compose(prev.R_BS, r21)))
+            half_turns.append(r21)
         object.__setattr__(self, "slots", tuple(derived))
+        object.__setattr__(self, "half_turns", tuple(half_turns))
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
@@ -241,7 +247,7 @@ def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor
     # Helicity-based descriptions need the momentum pair to span a plane;
     # canonical-based ones carry their frames independently of the partner.
     if FrameTag.HELICITY in (desc_a.base, desc_b.base):
-        helicity_frame(desc_a.p, desc_b.p)
+        _spanning_normal(desc_a.p, desc_b.p)
 
 
 def assemble_pair_canonical_orderfree(
@@ -335,7 +341,7 @@ def exchange_order_dependent(
             f"exchange needs exactly two slots, got {len(ordered.slots)}"
         )
     d1, d2 = ordered.slots
-    r21 = from_axis_angle(bisector_axis(d1.p, d2.p), math.pi)
+    r21 = ordered.half_turns[0]
     if case is ExchangeCase.FIRST:
         new_first_rotation = d2.R_BS  # equals compose(d1.R_BS, r21)
         turns = [1, 0]

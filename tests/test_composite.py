@@ -22,7 +22,7 @@ from spinframes import (
     build_pair_spin_operator,
     exchange_symmetry_sign,
     exclusion_check,
-    from_axis_angle,
+    half_turn,
     max_commuting_pairset,
     order_dependence_phase,
     pair_state_from_matrix,
@@ -127,35 +127,39 @@ def test_channel_weights_invariant_under_simultaneous_rotation():
 
 def test_sheet_route_matches_explicit_half_turn():
     rng = random.Random(55)
-    da, db = slot_pair(1, 1)
-    mat = rand_matrix(rng, 2, 2)
-    mat = mat / np.linalg.norm(mat)
-    state = pair_state_from_matrix(da, db, mat)
-    k = bisector_axis(state.desc_a.p, state.desc_b.p)
-    for sheet in (1, -1):
-        via_sheet = project_composite(state, sheet)
-        via_pair = project_composite(
-            state, (IDENTITY, from_axis_angle(k, sheet * math.pi))
-        )
-        for (S, M), v in via_sheet.amplitudes.items():
-            assert abs(v - via_pair.amplitude(S, M)) < 1e-15
-
-
-def test_opposite_sheets_differ_by_global_halfon_sign():
-    rng = random.Random(56)
-    for ts, sign in ((1, -1.0), (2, 1.0), (3, -1.0), (4, 1.0)):
-        da, db = slot_pair(ts, ts)
+    for ts_a, ts_b in ((1, 1), (0, 3), (2, 1), (3, 4), (6, 5)):
+        da, db = slot_pair(ts_a, ts_b)
         mat = rand_matrix(rng, da.s.dim, db.s.dim)
         mat = mat / np.linalg.norm(mat)
         state = pair_state_from_matrix(da, db, mat)
-        plus = project_composite(state, 1)
-        minus = project_composite(state, -1)
-        for (S, M), v in plus.amplitudes.items():
-            assert abs(minus.amplitude(S, M) - sign * v) < 1e-12
+        k = bisector_axis(state.desc_a.p, state.desc_b.p)
+        for sheet in (1, -1):
+            via_sheet = project_composite(state, sheet)
+            via_pair = project_composite(state, (IDENTITY, half_turn(k, sheet)))
+            assert via_sheet.amplitudes == via_pair.amplitudes
+
+
+def test_opposite_sheets_differ_by_global_halfon_sign():
+    # exact: the two sheets' half-turns negate componentwise, and wigner_D
+    # turns that into (-1)^(2s_b) bit for bit
+    rng = random.Random(56)
+    for ts_a in range(13):
+        for ts_b in range(13):
+            da, db = slot_pair(ts_a, ts_b)
+            mat = rand_matrix(rng, da.s.dim, db.s.dim)
+            mat = mat / np.linalg.norm(mat)
+            state = pair_state_from_matrix(da, db, mat)
+            sign = order_dependence_phase([1], [state.desc_b.s])
+            assert sign == (-1) ** ts_b
+            plus = project_composite(state, 1)
+            minus = project_composite(state, -1)
+            assert list(minus.amplitudes) == list(plus.amplitudes)
+            for (S, M), v in plus.amplitudes.items():
+                assert minus.amplitude(S, M) == sign * v
             # same physics either way: channel weights agree
-        for tS in range(0, 2 * ts + 1, 2):
-            S = TwiceSpin(tS)
-            assert abs(plus.weight(S) - minus.weight(S)) < 1e-12
+            for tS in range(abs(ts_a - ts_b), ts_a + ts_b + 1, 2):
+                S = TwiceSpin(tS)
+                assert plus.weight(S) == minus.weight(S)
 
 
 def test_sheet_route_validation():
@@ -164,6 +168,10 @@ def test_sheet_route_validation():
     for bad in (0, 2, -3):
         with pytest.raises(ValueError, match="sheet"):
             project_composite(state, bad)
+    # bool is an int subclass, but True is not a sheet
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="sheet"):
+            project_composite(state, bad)
 
 
 def loop_projection(state, route):
@@ -171,7 +179,7 @@ def loop_projection(state, route):
     doubled labels."""
     if isinstance(route, int):
         k = bisector_axis(state.desc_a.p, state.desc_b.p)
-        route = (IDENTITY, from_axis_angle(k, route * math.pi))
+        route = (IDENTITY, half_turn(k, route))
     s_a, s_b = state.desc_a.s, state.desc_b.s
     d_a = wigner_D(s_a, route[0]).entries
     d_b = wigner_D(s_b, route[1]).entries

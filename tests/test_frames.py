@@ -263,6 +263,10 @@ def test_relative_rotation_sheet_is_mandatory_and_checked():
     for bad in (0, 2, -2):
         with pytest.raises(ValueError, match="sheet"):
             relative_rotation(fa, fb, bad)
+    # bool is an int subclass, but True is not a sheet
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="sheet"):
+            relative_rotation(fb, fa, bad)
 
 
 def test_relative_rotation_rejects_unrelated_frames():

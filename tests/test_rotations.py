@@ -15,6 +15,7 @@ from spinframes import (
     compose,
     frame_to_quaternion,
     from_axis_angle,
+    half_turn,
     inverse,
     quaternion_close,
     to_matrix3,
@@ -105,6 +106,30 @@ def test_from_axis_angle_extreme_axis_scales():
         Vec3(1e300, 1e-300, 0.0),
     ):
         assert quaternion_close(from_axis_angle(axis, 1.0), want), axis
+
+
+def test_half_turn_is_exact_pure_quaternion():
+    rng = random.Random(12)
+    for k in [ZHAT, Vec3(-0.0, 1.0, 0.0)] + [rand_unit_vec(rng) for _ in range(50)]:
+        plus, minus = half_turn(k, 1), half_turn(k, -1)
+        assert plus.w == 0.0 and minus.w == 0.0
+        assert plus.components()[1:] == (k.x, k.y, k.z)
+        assert minus.components() == tuple(-c for c in plus.components())
+        for h in (plus, minus):
+            assert quaternion_close(compose(h, h), -IDENTITY, EPS)
+        assert quaternion_close(compose(plus, minus), IDENTITY, EPS)
+        # the same rotation as the angle form, up to cos(pi/2) rounding
+        assert quaternion_close(plus, from_axis_angle(k, math.pi))
+        assert quaternion_close(minus, from_axis_angle(k, -math.pi))
+
+
+def test_half_turn_sheet_is_checked():
+    for bad in (True, False, 1.0, -1.0, None):
+        with pytest.raises(TypeError, match="sheet"):
+            half_turn(ZHAT, bad)
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError, match="sheet"):
+            half_turn(ZHAT, bad)
 
 
 def test_compose_two_half_turns_is_minus_identity():

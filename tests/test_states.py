@@ -1,8 +1,10 @@
 """Descriptor bookkeeping, order-free pair assembly on the content-keyed
 basis, and the exchange phases of order-dependent descriptions."""
 
+import dataclasses
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from spinframes import (
     PairState,
     ParticleDescriptor,
     TwiceSpin,
+    UnitQuaternion,
     Vec3,
     assemble_ordered,
     assemble_pair_canonical_orderfree,
@@ -25,6 +28,8 @@ from spinframes import (
     compose,
     exchange_order_dependent,
     from_axis_angle,
+    half_turn,
+    helicity_frame,
     m_range,
     order_dependence_phase,
     pair_state_from_matrix,
@@ -64,6 +69,78 @@ def test_content_key_is_bit_exact_on_momenta():
     assert d1.content_key() == make_desc("u", Vec3(0.0, 0.0, 1.0), 1, -1).content_key()
     assert d1.content_key() != make_desc("d", Vec3(0.0, 0.0, 1.0), 1, 1).content_key()
     assert d1.content_key() != make_desc("u", Vec3(0.0, 0.0, 1.0), 3, 3).content_key()
+
+
+def per_call_keys(d):
+    """content_key and sort_key rebuilt from the fields, one struct call per
+    float."""
+
+    def bits(x):
+        return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+    content = (d.Q, (bits(d.p.x), bits(d.p.y), bits(d.p.z)), d.s.twice)
+    rotation = tuple(bits(c) for c in d.R_BS.components())
+    return content, (content, d.m.twice, d.base.value, rotation)
+
+
+def test_cached_keys_match_per_call_bits():
+    rng = random.Random(52)
+    momenta = [
+        Vec3(-0.0, 0.0, 1.0),
+        Vec3(0.0, -0.0, -0.0),
+        Vec3(1, 0, -2),
+        Vec3(3, -0.0, 0),
+        Vec3(-5e-324, 1e300, -1),
+    ]
+    momenta += [rand_unit_vec(rng).scaled(rng.uniform(0.1, 10.0)) for _ in range(300)]
+    for i, p in enumerate(momenta):
+        base = FrameTag.HELICITY if i % 2 else FrameTag.CANONICAL
+        d = rand_descriptor(rng, rng.choice("udsc"), p, base=base)
+        assert (d.content_key(), d.sort_key()) == per_call_keys(d)
+        flipped = dataclasses.replace(d, R_BS=-d.R_BS)
+        assert (flipped.content_key(), flipped.sort_key()) == per_call_keys(flipped)
+    # integer components key as the floats they equal; -0.0 keys apart from 0.0
+    d_int = make_desc("u", Vec3(1, 0, -2), 1, 1, r=-IDENTITY)
+    assert d_int.content_key() == make_desc("u", Vec3(1.0, 0.0, -2.0), 1, 1).content_key()
+    assert d_int.sort_key() == per_call_keys(d_int)[1]
+    assert d_int.content_key() != make_desc("u", Vec3(1.0, -0.0, -2.0), 1, 1).content_key()
+
+
+def test_replace_recomputes_cached_keys():
+    d = make_desc("u", Vec3(0.0, 0.0, 1.0), 1, 1)
+    three_half = TwiceSpin(3)
+    for changes in (
+        {"Q": "d"},
+        {"p": Vec3(-0.0, 0.0, 1.0)},
+        {"s": three_half, "m": three_half.component(1)},
+        {"m": d.s.component(-1)},
+        {"base": FrameTag.HELICITY},
+        {"R_BS": -IDENTITY},
+    ):
+        e = dataclasses.replace(d, **changes)
+        assert (e.content_key(), e.sort_key()) == per_call_keys(e)
+        assert e.sort_key() != d.sort_key()
+    with pytest.raises(ValueError):
+        dataclasses.replace(d, _content_key=())
+
+
+def test_cached_keys_stay_out_of_eq_hash_and_repr():
+    r = UnitQuaternion(0.0, 0.6, 0.0, -0.8)
+    d = make_desc("u", Vec3(0.5, -0.0, 1), 1, -1, base=FrameTag.HELICITY, r=r)
+    twin = make_desc("u", Vec3(0.5, -0.0, 1), 1, -1, base=FrameTag.HELICITY, r=r)
+    assert repr(d) == (
+        "ParticleDescriptor(Q='u', p=Vec3(x=0.5, y=-0.0, z=1), s=TwiceSpin(twice=1), "
+        "m=TwiceM(twice=-1), base=<FrameTag.HELICITY: 'HELICITY'>, "
+        "R_BS=UnitQuaternion(w=0.0, x=0.6, y=0.0, z=-0.8))"
+    )
+    assert d == twin and d is not twin
+    assert hash(d) == hash(twin) == hash((d.Q, d.p, d.s, d.m, d.base, d.R_BS))
+    # == compares fields by value, not the keys' bit patterns: -0.0 == 0.0
+    positive_zero = dataclasses.replace(d, p=Vec3(0.5, 0.0, 1))
+    assert positive_zero.content_key() != d.content_key()
+    assert positive_zero == d and hash(positive_zero) == hash(d)
+    visible = [f.name for f in dataclasses.fields(d) if f.init or f.compare or f.repr]
+    assert visible == ["Q", "p", "s", "m", "base", "R_BS"]
 
 
 def test_descriptor_str():
@@ -192,6 +269,41 @@ def test_collinearity_enforced_only_for_helicity_base():
     da_c = make_desc("u", p, 1, 1)
     db_c = make_desc("d", p, 1, 1)
     assemble_pair_canonical_orderfree(da_c, db_c, IDENTITY, IDENTITY)
+
+
+def test_helicity_pairs_rejected_like_helicity_frame():
+    # the frame-free check raises what helicity_frame raises, word for word
+    v = Vec3(0.3, -0.2, 0.9)
+    zero = Vec3(0.0, 0.0, 0.0)
+    cases = (
+        (v, v.scaled(2.0)),
+        (v, v.scaled(-0.5)),
+        (zero, v),
+        (v, zero),
+        (Vec3(math.nan, 0.0, 1.0), v),
+        (v, Vec3(0.0, math.inf, 1.0)),
+        (Vec3(-math.inf, 0.0, 0.0), Vec3(math.nan, 0.0, 0.0)),
+    )
+    helicity, canonical = FrameTag.HELICITY, FrameTag.CANONICAL
+    for p_a, p_b in cases:
+        with pytest.raises(ValueError) as want:
+            helicity_frame(p_a, p_b)
+        for base_a, base_b in ((helicity, helicity), (helicity, canonical), (canonical, helicity)):
+            da = make_desc("u", p_a, 1, 1, base=base_a)
+            db = make_desc("d", p_b, 1, -1, base=base_b)
+            for build in (
+                lambda: assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY),
+                lambda: pair_state_from_matrix(da, db, np.eye(2, dtype=complex)),
+            ):
+                with pytest.raises(ValueError) as got:
+                    build()
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+        # canonical-based descriptions carry their frames independently
+        da = make_desc("u", p_a, 1, 1)
+        db = make_desc("d", p_b, 1, -1)
+        assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+        pair_state_from_matrix(da, db, np.eye(2, dtype=complex))
 
 
 def test_pair_state_from_matrix_round_trip():
@@ -325,8 +437,13 @@ def test_ordered_description_derives_later_rotations():
     d2 = make_desc("d", p_b, 1, -1, r=rand_quaternion(random.Random(48)))
     od = OrderedDescription([d1, d2])
     assert od.slots[0].R_BS is r1  # slot 1 untouched
+    assert od.half_turns == (half_turn(bisector_axis(p_a, p_b), 1),)
+    assert od.slots[1].R_BS == compose(r1, od.half_turns[0])
     r21 = from_axis_angle(bisector_axis(p_a, p_b), math.pi)
     assert quaternion_close(od.slots[1].R_BS, compose(r1, r21))
+    # the kept half-turns are derived data: out of == and repr
+    assert od == OrderedDescription([d1, d2]) and "half_turns" not in repr(od)
+    assert OrderedDescription([d1]).half_turns == ()
     # a third slot chains off the second
     p_c = Vec3(0.0, 0.5, 0.5)
     d3 = make_desc("w", p_c, 1, 1)
