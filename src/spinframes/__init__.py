@@ -37,7 +37,6 @@ from .exactnum import (
     N_FACT,
     TwiceM,
     TwiceSpin,
-    complex_close,
     factorial_exact,
     fmt15,
     m_range,

@@ -9,11 +9,14 @@ exchange, while bystanders stay untouched, yields one XOR constraint per
 pair over one parity bit per particle. Each constraint x_i XOR x_j = 1 says
 that i and j get different colours, so the system is solvable exactly when
 its constraint graph is 2-colourable; for "every pair" that graph is the
-complete graph K_N, which contains a triangle once N >= 3.
+complete graph K_N, which contains a triangle once N >= 3. The solver reads
+the constraints one at a time and stops at the first odd cycle, so it never
+looks at more of K_N than that triangle needs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -90,10 +93,11 @@ class ExchangeConstraintSystem:
     constraints: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n_vars < 0:
-            raise ValueError(f"n_vars must be non-negative, got {self.n_vars}")
+        n = self.n_vars
+        if n < 0:
+            raise ValueError(f"n_vars must be non-negative, got {n}")
         for i, j in self.constraints:
-            if not (0 <= i < j < self.n_vars):
+            if not (0 <= i < j < n):
                 raise ValueError(f"bad constraint pair ({i}, {j})")
 
 
@@ -101,9 +105,7 @@ def build_constraints(n_particles: int) -> ExchangeConstraintSystem:
     """One XOR-inequality per unordered particle pair: N(N-1)/2 in all."""
     if n_particles < 2:
         raise ValueError(f"need at least two particles, got {n_particles}")
-    pairs = tuple(
-        (i, j) for i in range(n_particles) for j in range(i + 1, n_particles)
-    )
+    pairs = tuple(itertools.combinations(range(n_particles), 2))
     return ExchangeConstraintSystem(n_vars=n_particles, constraints=pairs)
 
 
@@ -115,34 +117,57 @@ class SatResult(NamedTuple):
 
 def exhaustive_satisfiable(system: ExchangeConstraintSystem) -> SatResult:
     """Decide the system over all 2^N assignments by 2-colouring its
-    constraint graph, in O(N + E).
+    constraint graph online, with a union-find that keeps each variable's
+    parity relative to its tree's root.
 
-    Each component is coloured from its highest-index variable, set to 0. A
-    constraint between equal colours leaves no solution; otherwise each
-    component has two colourings, so there are 2^(components) solutions, and
-    the witness is the least of them read as the integer sum x_i 2^i.
+    Constraints are read in the given order. Each one either joins two trees
+    (the smaller under the larger, so trees stay O(log N) deep) or closes a
+    cycle inside one; a cycle whose ends have equal parity is odd, and the
+    solver stops there with no solution. This is O(N + E log N) in the worst
+    case, and O(N) on the complete graph K_N with N >= 3, whose first N
+    constraints in lexicographic order already close a triangle.
+
+    Otherwise each tree has two colourings, so there are 2^(trees)
+    solutions. The witness colours every tree so that its highest-index
+    variable is 0: the least solution read as the integer sum x_i 2^i.
     """
-    neighbours: list[list[int]] = [[] for _ in range(system.n_vars)]
+    n = system.n_vars
+    parent = list(range(n))
+    parity = [0] * n  # x_v XOR x_parent[v]
+    size = [1] * n
+    trees = n
     for i, j in system.constraints:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    colour = [-1] * system.n_vars
-    components = 0
-    for root in reversed(range(system.n_vars)):
-        if colour[root] >= 0:
+        # walk both ends to their roots; p ends as x_i XOR x_j when the
+        # roots coincide (the root's own term cancels)
+        p = 0
+        while parent[i] != i:
+            p ^= parity[i]
+            i = parent[i]
+        while parent[j] != j:
+            p ^= parity[j]
+            j = parent[j]
+        if i == j:
+            if not p:
+                return SatResult(satisfiable=False, witness=None, count=0)
             continue
-        components += 1
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in neighbours[i]:
-                if colour[j] < 0:
-                    colour[j] = 1 - colour[i]
-                    stack.append(j)
-                elif colour[j] == colour[i]:
-                    return SatResult(satisfiable=False, witness=None, count=0)
-    return SatResult(satisfiable=True, witness=tuple(colour), count=2**components)
+        if size[i] < size[j]:
+            i, j = j, i
+        parent[j] = i
+        parity[j] = p ^ 1
+        size[i] += size[j]
+        trees -= 1
+    # reversed order meets each tree first at its highest-index variable,
+    # whose parity to the root then fixes that tree's colouring
+    flip: dict[int, int] = {}
+    colour = [0] * n
+    for v in reversed(range(n)):
+        p = 0
+        root = v
+        while parent[root] != root:
+            p ^= parity[root]
+            root = parent[root]
+        colour[v] = p ^ flip.setdefault(root, p)
+    return SatResult(satisfiable=True, witness=tuple(colour), count=2**trees)
 
 
 def impossibility_report(n_max: int) -> list[tuple[int, bool, int]]:

@@ -29,7 +29,7 @@ from .states import (
     ParticleDescriptor,
     exchange_order_dependent,
 )
-from .wigner import wigner_D
+from .wigner import MAX_TWICE_SPIN, wigner_D
 
 
 def _parse_vec(text: str) -> Vec3:
@@ -118,6 +118,10 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_exclusion(args: argparse.Namespace, out: TextIO) -> int:
     s = TwiceSpin(args.s2)
+    if s.twice > MAX_TWICE_SPIN:
+        # the same bound as every other spin argument; the report would
+        # otherwise grow without limit
+        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
     allowed = sorted(S.twice for S in exclusion_check(s))
     out.write("allowed_S2: " + " ".join(str(t) for t in allowed) + "\n")
     return 0

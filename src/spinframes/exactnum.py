@@ -121,16 +121,6 @@ def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
     return neg_one_pow(total)
 
 
-def complex_close(z1: complex, z2: complex, tol: float = EPS) -> bool:
-    """Closeness of two complex scalars within tol (default EPS).
-
-    A convenience for callers and tests; the package itself does not call
-    it. Laws that hold bit for bit, such as the double-cover sign laws, are
-    tested with plain ==.
-    """
-    return abs(z1 - z2) <= tol
-
-
 def fmt15(x: float) -> str:
     """Fixed serialization of a float at 15 significant digits.
 

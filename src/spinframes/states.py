@@ -229,10 +229,18 @@ class OrderedDescription:
         for nxt in slots[1:]:
             prev = derived[-1]
             r21 = half_turn(bisector_axis(prev.p, nxt.p), 1)
-            derived.append(replace(nxt, R_BS=compose(prev.R_BS, r21)))
+            derived.append(_follow(prev, nxt, r21))
             half_turns.append(r21)
         object.__setattr__(self, "slots", tuple(derived))
         object.__setattr__(self, "half_turns", tuple(half_turns))
+
+
+def _follow(
+    prev: ParticleDescriptor, nxt: ParticleDescriptor, r: UnitQuaternion
+) -> ParticleDescriptor:
+    """The derived-rotation rule: nxt in the slot after prev, with
+    R_BS = R_prev * r for the half-turn r relating the two slots."""
+    return replace(nxt, R_BS=compose(prev.R_BS, r))
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
@@ -350,10 +358,11 @@ def exchange_order_dependent(
         turns = [0, 1]
     else:
         raise ValueError(f"unknown exchange case {case!r}")
-    exchanged = OrderedDescription(
-        [replace(d2, R_BS=new_first_rotation), d1]
-    )
-    return assemble_ordered(exchanged), order_dependence_phase(turns, [d1.s, d2.s])
+    # the exchanged pair has the same bisector, so its half-turn is r21
+    first = replace(d2, R_BS=new_first_rotation)
+    second = _follow(first, d1, r21)
+    state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)
+    return state, order_dependence_phase(turns, [d1.s, d2.s])
 
 
 def assemble_ordered(ordered: OrderedDescription) -> PairState:

@@ -8,8 +8,9 @@ coefficients, no array evaluation), Clebsch-Gordan coefficients from
 ladder-operator construction on the product space, composite-basis
 amplitudes by summing coefficient times amplitude entry by entry (no
 change-of-basis matrix), rotation matrices from the Rodrigues formula,
-parity-constraint solutions by trying every assignment, and commuting
-families by searching every subfamily.
+parity-constraint solutions by trying every assignment or by a depth-first
+2-colouring of the whole constraint graph, and commuting families by
+searching every subfamily.
 """
 
 from __future__ import annotations
@@ -182,6 +183,36 @@ def parity_assignments(n: int, constraints) -> tuple[int, tuple[int, ...] | None
             if first is None:
                 first = tuple((assignment >> i) & 1 for i in range(n))
     return count, first
+
+
+def dfs_two_colouring(n: int, constraints) -> tuple[bool, tuple[int, ...] | None, int]:
+    """(satisfiable, witness, count) for x_i XOR x_j = 1 on every pair (i, j)
+    in constraints, by building the whole adjacency and 2-colouring each
+    component depth first from its highest-index variable, coloured 0.
+
+    count is 2^(components); the witness is the least solution read as the
+    integer sum x_i 2^i, or None."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in constraints:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    colour = [-1] * n
+    components = 0
+    for root in reversed(range(n)):
+        if colour[root] >= 0:
+            continue
+        components += 1
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    return False, None, 0
+    return True, tuple(colour), 2**components
 
 
 def max_pairwise_commuting(matrices, tol: float = 1e-12) -> int:

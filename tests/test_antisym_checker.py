@@ -1,6 +1,7 @@
 """Turn-count ledgers, the per-pair XOR constraint system, and the
 2-colouring solver showing universal exchange signs exist only for N = 2,
-checked against an enumeration of every assignment."""
+checked against an enumeration of every assignment and a depth-first
+2-colouring of the whole graph."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 from spinframes import (
     ExchangeConstraintSystem,
     ParityLedger,
+    SatResult,
     TwiceSpin,
     build_constraints,
     check_noninterference,
@@ -20,7 +22,7 @@ from spinframes import (
     order_dependence_phase,
     report_lines,
 )
-from oracles import parity_assignments
+from oracles import dfs_two_colouring, parity_assignments
 
 HALF = TwiceSpin(1)
 ONE = TwiceSpin(2)
@@ -166,7 +168,9 @@ def test_negative_variable_count_rejected():
 def test_solver_has_no_size_bound():
     free = exhaustive_satisfiable(ExchangeConstraintSystem(n_vars=64, constraints=()))
     assert free == (True, (0,) * 64, 2**64)
-    assert exhaustive_satisfiable(build_constraints(200)) == (False, None, 0)
+    k200 = build_constraints(200)
+    assert exhaustive_satisfiable(k200) == (False, None, 0)
+    assert dfs_two_colouring(200, k200.constraints) == (False, None, 0)
 
 
 def random_system(rng: random.Random) -> ExchangeConstraintSystem:
@@ -185,15 +189,111 @@ def random_system(rng: random.Random) -> ExchangeConstraintSystem:
     return ExchangeConstraintSystem(n_vars=n, constraints=pairs)
 
 
+def solve_by_oracles(system: ExchangeConstraintSystem):
+    """The solver's result, after checking it equals both oracles'."""
+    count, first = parity_assignments(system.n_vars, system.constraints)
+    result = exhaustive_satisfiable(system)
+    assert result == (count > 0, first, count), system
+    assert result == dfs_two_colouring(system.n_vars, system.constraints), system
+    return result
+
+
 def test_solver_matches_enumeration_oracle():
     rng = random.Random(73)
     counts = set()
     for _ in range(400):
-        system = random_system(rng)
-        count, first = parity_assignments(system.n_vars, system.constraints)
-        assert exhaustive_satisfiable(system) == (count > 0, first, count), system
-        counts.add(count)
+        counts.add(solve_by_oracles(random_system(rng)).count)
     assert {0, 1, 2, 4, 8} <= counts
+
+
+def test_solver_ignores_constraint_order_and_repeats():
+    # the solver reads constraints online, so the order it meets them in
+    # changes which one closes a cycle, but never the result
+    rng = random.Random(74)
+    for _ in range(300):
+        system = random_system(rng)
+        pairs = list(system.constraints)
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+        rng.shuffle(pairs)
+        shuffled = ExchangeConstraintSystem(
+            n_vars=system.n_vars, constraints=tuple(pairs)
+        )
+        assert solve_by_oracles(shuffled) == exhaustive_satisfiable(system)
+
+
+def test_solver_matches_dfs_oracle_on_large_paths_and_cycles():
+    rng = random.Random(75)
+    for n in (2, 3, 17, 256, 1000, 2000):
+        path = [(i, i + 1) for i in range(n - 1)]
+        cycle = path + [(0, n - 1)]
+        shuffled = (rng.sample(path, len(path)), rng.sample(cycle, len(cycle)))
+        for pairs in (path, cycle, *shuffled):
+            system = ExchangeConstraintSystem(n_vars=n, constraints=tuple(pairs))
+            result = exhaustive_satisfiable(system)
+            assert result == dfs_two_colouring(n, pairs)
+            if len(pairs) == n - 1 or n % 2 == 0:
+                # a path or an even cycle alternates down from x_{n-1} = 0
+                assert result == (True, tuple((n - 1 - i) % 2 for i in range(n)), 2)
+            else:
+                assert result == (False, None, 0)
+
+
+def test_solver_matches_dfs_oracle_on_deepest_union_trees():
+    # merging equal-size trees is the order that makes union by size build
+    # trees of depth log2 N; x_i is then the parity of i's bit count, and a
+    # chord between equal bit-count parities closes an odd cycle
+    n = 1024
+    pairs = [
+        (i, i + step)
+        for step in (1 << k for k in range(10))
+        for i in range(0, n, 2 * step)
+    ]
+    system = ExchangeConstraintSystem(n_vars=n, constraints=tuple(pairs))
+    assert exhaustive_satisfiable(system) == dfs_two_colouring(n, pairs)
+    assert exhaustive_satisfiable(system).count == 2
+    chords = {(0, 7): True, (511, 1023): True, (0, 1023): False, (5, 6): False}
+    for chord, satisfiable in chords.items():
+        extended = tuple(pairs) + (chord,)
+        system = ExchangeConstraintSystem(n_vars=n, constraints=extended)
+        result = exhaustive_satisfiable(system)
+        assert result == dfs_two_colouring(n, extended)
+        assert result.satisfiable == satisfiable
+
+
+def test_solver_on_zero_and_one_variables():
+    empty = ExchangeConstraintSystem(n_vars=0, constraints=())
+    assert exhaustive_satisfiable(empty) == dfs_two_colouring(0, ()) == (True, (), 1)
+    single = ExchangeConstraintSystem(n_vars=1, constraints=())
+    assert exhaustive_satisfiable(single) == dfs_two_colouring(1, ()) == (True, (0,), 2)
+    assert isinstance(exhaustive_satisfiable(single), SatResult)
+
+
+class CountingPairs(tuple):
+    """A constraint tuple that counts the pairs read through iteration."""
+
+    reads = 0
+
+    def __iter__(self):
+        for pair in tuple.__iter__(self):
+            self.reads += 1
+            yield pair
+
+
+def test_solver_stops_at_the_first_odd_cycle():
+    pairs = CountingPairs(build_constraints(50).constraints)
+    system = ExchangeConstraintSystem(n_vars=50, constraints=pairs)
+    pairs.reads = 0  # validation read them all
+    assert exhaustive_satisfiable(system) == (False, None, 0)
+    # (0, 1) .. (0, 49) join one star; (1, 2) closes the triangle
+    assert 0 < pairs.reads <= 50
+    assert len(pairs) == 50 * 49 // 2
+
+
+def test_constraints_are_the_pairs_in_lexicographic_order():
+    for n in range(2, 41):
+        want = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        assert build_constraints(n).constraints == want
+        assert type(build_constraints(n).constraints) is tuple
 
 
 def test_solver_matches_enumeration_oracle_property():
@@ -210,8 +310,7 @@ def test_solver_matches_enumeration_oracle_property():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(systems())
     def check(system):
-        count, first = parity_assignments(system.n_vars, system.constraints)
-        assert exhaustive_satisfiable(system) == (count > 0, first, count)
+        solve_by_oracles(system)
 
     check()
 

@@ -7,11 +7,12 @@ import sys
 FULL_TURN = "6.283185307179586"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "spinframes", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -129,6 +130,17 @@ def test_exclusion_lines():
         r = run_cli("exclusion", "--s2", s2)
         assert r.returncode == 0
         assert r.stdout == f"allowed_S2: {want}\n"
+
+
+def test_exclusion_spin_is_bounded():
+    r = run_cli("exclusion", "--s2", "12")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "allowed_S2: 0 4 8 12 16 20 24\n"
+    for s2 in ("13", "1000000000000"):
+        # unbounded, the second one runs for hours
+        r = run_cli("exclusion", "--s2", s2, timeout=30)
+        assert (r.returncode, r.stdout) == (2, ""), s2
+        assert r.stderr == f"error: 2s={s2} exceeds supported maximum 12\n"
 
 
 def test_impossibility_report_and_exit():

@@ -6,7 +6,6 @@ from spinframes import (
     N_FACT,
     TwiceM,
     TwiceSpin,
-    complex_close,
     factorial_exact,
     fmt15,
     m_range,
@@ -107,12 +106,6 @@ def test_neg_one_pow_involution():
 def test_neg_one_pow_rejects_nonint():
     with pytest.raises(TypeError):
         neg_one_pow(1.0)
-
-
-def test_complex_close():
-    assert complex_close(1 + 1j, 1 + 1j + 1e-14)
-    assert not complex_close(1 + 1j, 1 + 1j + 1e-6)
-    assert complex_close(0j, 1e-9, tol=1e-6)
 
 
 def test_fmt15_deterministic_and_normalizes_negative_zero():

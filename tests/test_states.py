@@ -30,6 +30,7 @@ from spinframes import (
     from_axis_angle,
     half_turn,
     helicity_frame,
+    inverse,
     m_range,
     order_dependence_phase,
     pair_state_from_matrix,
@@ -37,7 +38,13 @@ from spinframes import (
     quaternion_close,
     rotate_sqf,
 )
-from util import figure_pair, rand_descriptor, rand_quaternion, rand_unit_vec
+from util import (
+    figure_pair,
+    rand_descriptor,
+    rand_noncollinear_pair,
+    rand_quaternion,
+    rand_unit_vec,
+)
 
 ZHAT = Vec3(0.0, 0.0, 1.0)
 YHAT = Vec3(0.0, 1.0, 0.0)
@@ -509,6 +516,33 @@ def test_exchange_phase_depends_only_on_kept_slot_spin():
         # a full turn on the original slot 1 or slot 2
         assert ph_first == order_dependence_phase([1, 0], [d1.s, d2.s])
         assert ph_second == order_dependence_phase([0, 1], [d1.s, d2.s])
+
+
+def test_exchange_reuses_the_stored_half_turn():
+    # against the construction that rebuilt the exchanged description, and
+    # with it the bisector and the half-turn, from scratch
+    rng = random.Random(51)
+    for _ in range(200):
+        p_a, p_b = rand_noncollinear_pair(rng)
+        base = rng.choice((FrameTag.CANONICAL, FrameTag.HELICITY))
+        d1 = rand_descriptor(rng, "u", p_a, max_twice_spin=6, base=base)
+        d2 = rand_descriptor(rng, rng.choice("ud"), p_b, max_twice_spin=6)
+        od = OrderedDescription([d1, d2])
+        d1, d2 = od.slots
+        r21 = od.half_turns[0]
+        assert half_turn(bisector_axis(d2.p, d1.p), 1) == r21
+        for case, first_rotation, turns in (
+            (ExchangeCase.FIRST, d2.R_BS, [1, 0]),
+            (ExchangeCase.SECOND, compose(d1.R_BS, inverse(r21)), [0, 1]),
+        ):
+            rebuilt = OrderedDescription(
+                [dataclasses.replace(d2, R_BS=first_rotation), d1]
+            )
+            want = assemble_ordered(rebuilt)
+            state, phase = exchange_order_dependent(od, case)
+            assert (state.desc_a, state.desc_b) == (want.desc_a, want.desc_b)
+            assert state.amplitudes == want.amplitudes
+            assert phase == order_dependence_phase(turns, [d1.s, d2.s])
 
 
 def test_exchange_requires_two_slots():
