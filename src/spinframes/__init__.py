@@ -35,7 +35,6 @@ from .composite import (
 from .exactnum import (
     EPS,
     N_FACT,
-    TwiceM,
     TwiceSpin,
     factorial_exact,
     fmt15,

@@ -17,11 +17,12 @@ from .composite import exclusion_check
 from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import (
     CollinearMomentaError,
+    _frame_residual,
     bisector_axis,
     helicity_frame,
     relative_rotation,
 )
-from .rotations import IDENTITY, UnitQuaternion, Vec3, from_axis_angle, to_matrix3
+from .rotations import IDENTITY, UnitQuaternion, Vec3, from_axis_angle
 from .states import (
     ExchangeCase,
     FrameTag,
@@ -29,7 +30,7 @@ from .states import (
     ParticleDescriptor,
     exchange_order_dependent,
 )
-from .wigner import MAX_TWICE_SPIN, wigner_D
+from .wigner import wigner_D
 
 
 def _parse_vec(text: str) -> Vec3:
@@ -59,9 +60,7 @@ def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
     for m_row in m_range(s):
         for m_col in m_range(s):
             v = mat.entry(m_row, m_col)
-            out.write(
-                f"({m_row.twice}, {m_col.twice}) {fmt15(v.real)} {fmt15(v.imag)}\n"
-            )
+            out.write(f"({m_row}, {m_col}) {fmt15(v.real)} {fmt15(v.imag)}\n")
     return 0
 
 
@@ -117,12 +116,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_exclusion(args: argparse.Namespace, out: TextIO) -> int:
-    s = TwiceSpin(args.s2)
-    if s.twice > MAX_TWICE_SPIN:
-        # the same bound as every other spin argument; the report would
-        # otherwise grow without limit
-        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
-    allowed = sorted(S.twice for S in exclusion_check(s))
+    allowed = sorted(S.twice for S in exclusion_check(TwiceSpin(args.s2)))
     out.write("allowed_S2: " + " ".join(str(t) for t in allowed) + "\n")
     return 0
 
@@ -150,15 +144,7 @@ def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
     for sheet in (1, -1):
         q = relative_rotation(frame_b, frame_a, sheet)
         sheets[sheet] = q
-        rot = to_matrix3(q)
-        residual = 0.0
-        for v_b, v_a in (
-            (frame_b.xhat, frame_a.xhat),
-            (frame_b.yhat, frame_a.yhat),
-            (frame_b.zhat, frame_a.zhat),
-        ):
-            image = Vec3.from_array(rot @ v_b.as_array())
-            residual = max(residual, (image - v_a).norm())
+        residual = _frame_residual(q, frame_b, frame_a)
         out.write(
             f"sheet={sheet:+d}: q={_fmt_quat(q)} residual={fmt15(residual)}\n"
         )

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, m_range, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import bisector_axis
 from .rotations import UnitQuaternion, half_turn
 from .states import PairState
-from .wigner import CGTable, exchange_symmetry_sign, wigner_D
+from .wigner import MAX_TWICE_SPIN, CGTable, exchange_symmetry_sign, wigner_D
 
 # Dense-matrix desk-scale bounds.
 MAX_OPERATOR_PARTICLES = 5
@@ -31,15 +31,15 @@ MAX_OPERATOR_TWICE_SPIN = 2
 
 @dataclass(frozen=True, eq=False)
 class CompositeProjection:
-    """Amplitudes of a pair state on the composite basis |S M>."""
+    """Amplitudes of a pair state on the composite basis |S M>, keyed by
+    (S, 2M)."""
 
     s_a: TwiceSpin
     s_b: TwiceSpin
-    amplitudes: dict[tuple[TwiceSpin, TwiceM], complex]
+    amplitudes: dict[tuple[TwiceSpin, int], complex]
 
-    def amplitude(self, S: TwiceSpin, M: TwiceM) -> complex:
-        S.component(M.twice)
-        return self.amplitudes.get((S, M), 0j)
+    def amplitude(self, S: TwiceSpin, tM: int) -> complex:
+        return self.amplitudes.get((S, S.component(tM)), 0j)
 
     def weight(self, S: TwiceSpin) -> float:
         """Total probability in the composite-spin-S channel."""
@@ -52,11 +52,11 @@ class CompositeProjection:
 
     def report_lines(self) -> list[str]:
         """`S_twice M_twice re im` per entry, S ascending then M descending."""
-        keys = sorted(self.amplitudes, key=lambda k: (k[0].twice, -k[1].twice))
+        keys = sorted(self.amplitudes, key=lambda k: (k[0].twice, -k[1]))
         return [
-            f"{S.twice} {M.twice} {fmt15(self.amplitudes[(S, M)].real)} "
-            f"{fmt15(self.amplitudes[(S, M)].imag)}"
-            for (S, M) in keys
+            f"{S.twice} {tM} {fmt15(self.amplitudes[(S, tM)].real)} "
+            f"{fmt15(self.amplitudes[(S, tM)].imag)}"
+            for (S, tM) in keys
         ]
 
 
@@ -127,8 +127,11 @@ def exclusion_check(s: TwiceSpin) -> set[TwiceSpin]:
     quantum number equal: the channels whose net coefficient symmetry is +1.
 
     The result is always the even values {0, 2, ...} up to 2s, for integer
-    and half-integer s alike.
+    and half-integer s alike. 2s is bounded by MAX_TWICE_SPIN, like every
+    other spin argument, so the result stays small.
     """
+    if s.twice > MAX_TWICE_SPIN:
+        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
     allowed = set()
     for t in range(0, 2 * s.twice + 1, 2):
         S = TwiceSpin(t)
@@ -140,7 +143,7 @@ def exclusion_check(s: TwiceSpin) -> set[TwiceSpin]:
 def _single_spin_matrices(s: TwiceSpin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (Sx, Sy, Sz) in the descending-m basis, hbar = 1.
     dim = s.dim
-    ms = [m.twice for m in m_range(s)]
+    ms = m_range(s)
     sz = np.diag([tm / 2.0 for tm in ms]).astype(complex)
     sp = np.zeros((dim, dim), dtype=complex)
     for idx in range(1, dim):

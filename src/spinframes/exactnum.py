@@ -1,8 +1,9 @@
 """Exact integer bookkeeping for spin labels.
 
-Spins and spin projections are carried as doubled integers (2s and 2m), so
-half-integer labels never touch floating point and every sign rule reduces
-to integer parity.
+Spins and spin projections are carried as doubled integers, so half-integer
+labels never touch floating point and every sign rule reduces to integer
+parity. A spin is a TwiceSpin (2s, checked on construction); a projection is
+a plain int 2m, checked against its spin by TwiceSpin.component.
 
 The one turn-sign law, (-1)^(sum_i n_i * 2s_i) for n_i full turns on particle
 i's frame, is order_dependence_phase; every turn sign in the package comes
@@ -48,8 +49,10 @@ class TwiceSpin:
         """Dimension 2s + 1 of the projection space."""
         return self.twice + 1
 
-    def component(self, twice_m: int) -> TwiceM:
-        """Checked projection label m (given as 2m) for this spin."""
+    def component(self, twice_m: int) -> int:
+        """twice_m, checked as a projection 2m of this spin; the one check a
+        projection label gets. TypeError unless an int; ValueError if
+        |2m| > 2s or if 2m and 2s differ in parity."""
         if isinstance(twice_m, bool) or not isinstance(twice_m, int):
             raise TypeError(f"twice-m must be an int, got {twice_m!r}")
         if abs(twice_m) > self.twice:
@@ -58,23 +61,7 @@ class TwiceSpin:
             raise ValueError(
                 f"2m={twice_m} must have the same parity as 2s={self.twice}"
             )
-        return TwiceM(twice_m)
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-
-@dataclass(frozen=True, order=True)
-class TwiceM:
-    """Spin projection m stored as the integer 2m.
-
-    Build these through TwiceSpin.component (or m_range) so range and parity
-    against the parent spin are checked.
-    """
-
-    twice: int
+        return twice_m
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -91,12 +78,12 @@ def factorial_exact(n: int) -> int:
     return math.factorial(n)
 
 
-def m_range(s: TwiceSpin) -> list[TwiceM]:
-    """All projection labels of spin s, descending from +s to -s.
+def m_range(s: TwiceSpin) -> list[int]:
+    """All projection labels 2m of spin s, descending from +2s to -2s.
 
     Every matrix in this package indexes its rows and columns in this order.
     """
-    return [TwiceM(tm) for tm in range(s.twice, -s.twice - 1, -2)]
+    return list(range(s.twice, -s.twice - 1, -2))
 
 
 def neg_one_pow(k: int) -> int:

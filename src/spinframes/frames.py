@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .rotations import (
     EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, half_turn, to_matrix3,
 )
-from .rotations import _pow2_scaled, _require_right_handed_triad
+from .rotations import _pow2_scaled, _require_finite, _require_right_handed_triad
 
 
 class CollinearMomentaError(ValueError):
@@ -51,8 +51,7 @@ def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[Vec3, Vec3]:
     CollinearMomentaError). Returns p_this scaled by its power of two and
     the normal p_this x p_other of the scaled momenta."""
     for p in (p_this, p_other):
-        if not all(math.isfinite(c) for c in (p.x, p.y, p.z)):
-            raise ValueError(f"momentum {p.x!r},{p.y!r},{p.z!r} is not finite")
+        _require_finite(p, "momentum")
     p_this, p_other = _pow2_scaled(p_this), _pow2_scaled(p_other)
     n_this, n_other = p_this.norm(), p_other.norm()
     if n_this == 0.0 or n_other == 0.0:
@@ -89,8 +88,10 @@ def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
 
     Defined for parallel directions (it is just that direction) but not for
     antiparallel ones, where the sum vanishes. Like helicity_frame, it
-    accepts any finite non-zero magnitude.
+    accepts any finite non-zero magnitude and rejects a non-finite one.
     """
+    for p in (p_a, p_b):
+        _require_finite(p, "momentum")
     a = _pow2_scaled(p_a).normalized()
     b = _pow2_scaled(p_b).normalized()
     s = a + b
@@ -127,16 +128,22 @@ def relative_rotation(
     momentum pair.
     """
     q = half_turn(bisector_axis(frame_from.zhat, frame_to.zhat), sheet)
-    r = to_matrix3(q)
-    for v_from, v_to in (
-        (frame_from.xhat, frame_to.xhat),
-        (frame_from.yhat, frame_to.yhat),
-        (frame_from.zhat, frame_to.zhat),
-    ):
-        image = Vec3.from_array(r @ v_from.as_array())
-        if (image - v_to).norm() > EPS_GEOM:
-            raise FrameMismatchError(
-                "half-turn about the bisector does not relate these frames; "
-                "they are not the two sides of one momentum pair"
-            )
+    if _frame_residual(q, frame_from, frame_to) > EPS_GEOM:
+        raise FrameMismatchError(
+            "half-turn about the bisector does not relate these frames; "
+            "they are not the two sides of one momentum pair"
+        )
     return q
+
+
+def _frame_residual(
+    q: UnitQuaternion, frame_from: HelicityFrame, frame_to: HelicityFrame
+) -> float:
+    """Largest distance between q applied to an axis of frame_from and the
+    same axis of frame_to."""
+    r = to_matrix3(q)
+    axes = zip(
+        (frame_from.xhat, frame_from.yhat, frame_from.zhat),
+        (frame_to.xhat, frame_to.yhat, frame_to.zhat),
+    )
+    return max((Vec3.from_array(r @ a.as_array()) - b).norm() for a, b in axes)

@@ -101,6 +101,12 @@ def _pow2_scaled(p: Vec3) -> Vec3:
     return Vec3(math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e))
 
 
+def _require_finite(v: Vec3, what: str) -> None:
+    """ValueError naming what and its components unless v is finite."""
+    if not all(math.isfinite(c) for c in (v.x, v.y, v.z)):
+        raise ValueError(f"{what} {v.x!r},{v.y!r},{v.z!r} is not finite")
+
+
 def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     """Rotation by angle about axis, as a point on the double cover.
 
@@ -109,8 +115,7 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     Any finite non-zero axis works: it is first scaled by a power of two, so
     in-range axes give the bits of unscaled arithmetic.
     """
-    if not all(math.isfinite(c) for c in (axis.x, axis.y, axis.z)):
-        raise ValueError(f"rotation axis {axis.x!r},{axis.y!r},{axis.z!r} is not finite")
+    _require_finite(axis, "rotation axis")
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle {angle!r} is not finite")
     axis = _pow2_scaled(axis)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exactnum import EPS, TwiceM, TwiceSpin, fmt15, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, fmt15, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, compose, half_turn, inverse
 from .wigner import wigner_D
@@ -48,7 +48,8 @@ class ExchangeCase(enum.Enum):
 
 @dataclass(frozen=True)
 class ParticleDescriptor:
-    """One particle: content (Q, p, s), projection m, and quantization frame.
+    """One particle: content (Q, p, s), projection m (as the int 2m), and
+    quantization frame.
 
     R_BS carries the double-cover sign: descriptors with R_BS and -R_BS label
     the same physical frame but different state-vector conventions.
@@ -57,7 +58,7 @@ class ParticleDescriptor:
     Q: str
     p: Vec3
     s: TwiceSpin
-    m: TwiceM
+    m: int
     base: FrameTag
     R_BS: UnitQuaternion
     # Both keys are built once, on construction (dataclasses.replace builds
@@ -66,7 +67,7 @@ class ParticleDescriptor:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.s.component(self.m.twice)
+        self.s.component(self.m)
         p, r = self.p, self.R_BS
         content = (
             self.Q, struct.unpack("<3Q", struct.pack("<3d", p.x, p.y, p.z)), self.s.twice
@@ -74,7 +75,7 @@ class ParticleDescriptor:
         rotation = struct.unpack("<4Q", struct.pack("<4d", r.w, r.x, r.y, r.z))
         object.__setattr__(self, "_content_key", content)
         object.__setattr__(
-            self, "_sort_key", (content, self.m.twice, self.base.value, rotation)
+            self, "_sort_key", (content, self.m, self.base.value, rotation)
         )
 
     def content_key(self) -> tuple:
@@ -90,7 +91,7 @@ class ParticleDescriptor:
         px, py, pz = (fmt15(self.p.x), fmt15(self.p.y), fmt15(self.p.z))
         rw, rx, ry, rz = (fmt15(c) for c in self.R_BS.components())
         return (
-            f"Q={self.Q} p={px},{py},{pz} 2s={self.s.twice} 2m={self.m.twice} "
+            f"Q={self.Q} p={px},{py},{pz} 2s={self.s.twice} 2m={self.m} "
             f"base={self.base.value} R_BS={rw},{rx},{ry},{rz}"
         )
 
@@ -140,13 +141,11 @@ class PairState:
         """True when both particles carry identical content (Q, p, s)."""
         return self.desc_a.content_key() == self.desc_b.content_key()
 
-    def amplitude(self, lam_a: TwiceM, lam_b: TwiceM) -> complex:
-        """Amplitude at helicity lam_a for desc_a and lam_b for desc_b."""
-        self.desc_a.s.component(lam_a.twice)
-        self.desc_b.s.component(lam_b.twice)
+    def amplitude(self, lam_a: int, lam_b: int) -> complex:
+        """Amplitude at doubled helicity lam_a for desc_a and lam_b for desc_b."""
         key = _joint_key(
-            (self.desc_a.content_key(), lam_a.twice),
-            (self.desc_b.content_key(), lam_b.twice),
+            (self.desc_a.content_key(), self.desc_a.s.component(lam_a)),
+            (self.desc_b.content_key(), self.desc_b.s.component(lam_b)),
         )
         return self.amplitudes.get(key, 0j)
 
@@ -247,7 +246,7 @@ def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
     base-frame projections m' (descending): column m of wigner_D(desc.s, q)."""
     mat = wigner_D(desc.s, q)
-    col = (desc.s.twice - desc.m.twice) // 2
+    col = (desc.s.twice - desc.m) // 2
     return mat.entries[:, col].copy()
 
 

@@ -28,27 +28,25 @@ matrix.
 
 Clebsch-Gordan coefficients use the closed-form alternating sum over exact
 rational factorials, with a single square root at the end. The coupling of a
-spin pair is built once per (2s1, 2s2), on first use, and cached: a read-only
-coefficient mapping, the channel keys (S, M) with S ascending and M
-descending, and the same coefficients as a dense real orthogonal matrix from
-the product basis (m1, m2 descending, m2 fastest) to those channels. A
-coupled state is then one matrix product. The factorial cap bounds the spin
-pairs that can be built, so the cache stays bounded.
+spin pair is built once per (2s1, 2s2), on first use, and cached: the channel
+keys (S, 2M) with S ascending and M descending, and the coefficients as a
+read-only dense real orthogonal matrix from the product basis (m1, m2
+descending, m2 fastest) to those channels. A coupled state is then one matrix
+product. The factorial cap bounds the spin pairs that can be built, so the
+cache stays bounded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import sqrt
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import TwiceM, TwiceSpin, factorial_exact, m_range, neg_one_pow
+from .exactnum import TwiceSpin, factorial_exact, m_range, neg_one_pow
 from .rotations import UnitQuaternion
 
 # Largest 2s this module evaluates; the factorial budget and the intended
@@ -70,13 +68,12 @@ class WignerMatrix:
 
     def m_order(self) -> tuple[int, ...]:
         """Doubled projection labels indexing rows and columns, +2s down to -2s."""
-        return tuple(m.twice for m in m_range(self.s))
+        return tuple(m_range(self.s))
 
-    def _index(self, m: TwiceM) -> int:
-        self.s.component(m.twice)
-        return (self.s.twice - m.twice) // 2
+    def _index(self, tm: int) -> int:
+        return (self.s.twice - self.s.component(tm)) // 2
 
-    def entry(self, m_row: TwiceM, m_col: TwiceM) -> complex:
+    def entry(self, m_row: int, m_col: int) -> complex:
         return complex(self.entries[self._index(m_row), self._index(m_col)])
 
 
@@ -163,19 +160,20 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
 def clebsch_gordan(
     s1: TwiceSpin,
     s2: TwiceSpin,
-    m1: TwiceM,
-    m2: TwiceM,
+    tm1: int,
+    tm2: int,
     S: TwiceSpin,
-    M: TwiceM,
+    tM: int,
 ) -> float:
-    """<s1 m1; s2 m2 | S M> in the Condon-Shortley convention (real).
+    """<s1 m1; s2 m2 | S M> in the Condon-Shortley convention (real), with
+    the projections given as 2m1, 2m2 and 2M.
 
     S must satisfy the triangle rule with s1, s2 (including the parity of the
     doubled labels); the coefficient is zero whenever M != m1 + m2.
     """
-    s1.component(m1.twice)
-    s2.component(m2.twice)
-    S.component(M.twice)
+    s1.component(tm1)
+    s2.component(tm2)
+    S.component(tM)
     if not (abs(s1.twice - s2.twice) <= S.twice <= s1.twice + s2.twice):
         raise ValueError(
             f"total spin 2S={S.twice} outside triangle range for "
@@ -186,11 +184,10 @@ def clebsch_gordan(
             f"total spin 2S={S.twice} has wrong parity for "
             f"2s1={s1.twice}, 2s2={s2.twice}"
         )
-    if m1.twice + m2.twice != M.twice:
+    if tm1 + tm2 != tM:
         return 0.0
 
     ts1, ts2, tS = s1.twice, s2.twice, S.twice
-    tm1, tm2, tM = m1.twice, m2.twice, M.twice
 
     def fh(t: int) -> int:
         return factorial_exact(t // 2)
@@ -227,13 +224,11 @@ def _total_spins(ts1: int, ts2: int) -> list[TwiceSpin]:
 
 
 class _Coupling(NamedTuple):
-    """The Clebsch-Gordan coefficients of one spin pair, as a lookup and as a
-    change of basis."""
+    """The Clebsch-Gordan coefficients of one spin pair, as a change of
+    basis."""
 
-    # (2m1, 2m2, 2S) -> <s1 m1; s2 m2 | S M>, for every M = m1 + m2 in range
-    coefficients: Mapping[tuple[int, int, int], float]
-    # (S, M) per column: S ascending, M descending within each S
-    channels: tuple[tuple[TwiceSpin, TwiceM], ...]
+    # (S, 2M) per column: S ascending, M descending within each S
+    channels: tuple[tuple[TwiceSpin, int], ...]
     # row m1_index * (2s2 + 1) + m2_index, column per channel; orthogonal
     matrix: np.ndarray
 
@@ -243,28 +238,26 @@ def _coupling(ts1: int, ts2: int) -> _Coupling:
     s1, s2 = TwiceSpin(ts1), TwiceSpin(ts2)
     spins = _total_spins(ts1, ts2)
     channels = tuple((S, M) for S in spins for M in m_range(S))
-    column = {(S.twice, M.twice): k for k, (S, M) in enumerate(channels)}
-    coefficients: dict[tuple[int, int, int], float] = {}
+    column = {channel: k for k, channel in enumerate(channels)}
     matrix = np.zeros((s1.dim * s2.dim, len(channels)))
-    for i, m1 in enumerate(m_range(s1)):
-        for j, m2 in enumerate(m_range(s2)):
-            tM = m1.twice + m2.twice
+    for i, tm1 in enumerate(m_range(s1)):
+        for j, tm2 in enumerate(m_range(s2)):
+            tM = tm1 + tm2
             for S in spins:
                 if abs(tM) > S.twice:
                     continue
-                value = clebsch_gordan(s1, s2, m1, m2, S, S.component(tM))
-                coefficients[(m1.twice, m2.twice, S.twice)] = value
-                matrix[i * s2.dim + j, column[(S.twice, tM)]] = value
+                value = clebsch_gordan(s1, s2, tm1, tm2, S, tM)
+                matrix[i * s2.dim + j, column[(S, tM)]] = value
     matrix.flags.writeable = False
-    return _Coupling(MappingProxyType(coefficients), channels, matrix)
+    return _Coupling(channels, matrix)
 
 
 class CGTable:
     """All coupling coefficients for a fixed spin pair (s1, s2).
 
-    Entries are keyed by doubled labels; coefficient() accepts the typed
-    labels and returns 0.0 off the M = m1 + m2 diagonal. channels lists the
-    coupled labels (S, M), S ascending and M descending; matrix is the
+    coefficient() takes the projections as 2m1, 2m2 and 2M and returns 0.0
+    off the M = m1 + m2 diagonal. channels lists the coupled labels (S, 2M),
+    S ascending and M descending; matrix is the
     read-only orthogonal change of basis whose row m1_index * (2s2 + 1) +
     m2_index holds <s1 m1; s2 m2 | S M> in the column of each channel. The
     coefficients are built once per spin pair and shared by every table of
@@ -274,24 +267,24 @@ class CGTable:
     def __init__(self, s1: TwiceSpin, s2: TwiceSpin):
         self.s1 = s1
         self.s2 = s2
-        self._table, self.channels, self.matrix = _coupling(s1.twice, s2.twice)
+        self.channels, self.matrix = _coupling(s1.twice, s2.twice)
 
     def allowed_total_spins(self) -> list[TwiceSpin]:
         """Triangle-range total spins, ascending."""
         return _total_spins(self.s1.twice, self.s2.twice)
 
-    def coefficient(self, m1: TwiceM, m2: TwiceM, S: TwiceSpin, M: TwiceM) -> float:
-        self.s1.component(m1.twice)
-        self.s2.component(m2.twice)
-        S.component(M.twice)
-        if m1.twice + m2.twice != M.twice:
+    def coefficient(self, tm1: int, tm2: int, S: TwiceSpin, tM: int) -> float:
+        self.s1.component(tm1)
+        self.s2.component(tm2)
+        S.component(tM)
+        if tm1 + tm2 != tM:
             return 0.0
-        key = (m1.twice, m2.twice, S.twice)
-        if key not in self._table:
+        if (S, tM) not in self.channels:
             raise ValueError(
                 f"2S={S.twice} outside triangle range for this table"
             )
-        return self._table[key]
+        row = (self.s1.twice - tm1) // 2 * self.s2.dim + (self.s2.twice - tm2) // 2
+        return float(self.matrix[row, self.channels.index((S, tM))])
 
 
 def exchange_symmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:

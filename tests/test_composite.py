@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from spinframes import (
     CGTable,
     FrameTag,
     ParticleDescriptor,
-    TwiceM,
     TwiceSpin,
     UnitQuaternion,
+    Vec3,
     bisector_axis,
     build_pair_spin_operator,
     exchange_symmetry_sign,
@@ -174,6 +175,18 @@ def test_sheet_route_validation():
             project_composite(state, bad)
 
 
+def test_sheet_route_rejects_non_finite_momentum():
+    # a canonical pair never builds a helicity frame, so the bisector is the
+    # first place its momenta meet a finite check
+    da, db = slot_pair(1, 1)
+    for bad in (math.nan, math.inf):
+        state = pair_state_from_matrix(
+            replace(da, p=Vec3(bad, 0.0, 1.0)), db, np.eye(2, dtype=complex) / math.sqrt(2.0)
+        )
+        with pytest.raises(ValueError, match="momentum .* is not finite"):
+            project_composite(state, 1)
+
+
 def loop_projection(state, route):
     """The same projection by the entry-by-entry loop oracle, keyed by
     doubled labels."""
@@ -186,7 +199,7 @@ def loop_projection(state, route):
     table = CGTable(s_a, s_b)
 
     def coefficient(tma, tmb, tS, tM):
-        return table.coefficient(TwiceM(tma), TwiceM(tmb), TwiceSpin(tS), TwiceM(tM))
+        return table.coefficient(tma, tmb, TwiceSpin(tS), tM)
 
     common = d_a @ state.to_matrix() @ d_b.T
     return project_composite_loop(common, s_a.twice, s_b.twice, coefficient)
@@ -195,9 +208,9 @@ def loop_projection(state, route):
 def assert_matches_loop(state, route):
     proj = project_composite(state, route)
     want = loop_projection(state, route)
-    assert [(S.twice, M.twice) for S, M in proj.amplitudes] == list(want)
+    assert [(S.twice, M) for S, M in proj.amplitudes] == list(want)
     for (S, M), v in proj.amplitudes.items():
-        assert abs(v - want[(S.twice, M.twice)]) <= EPS
+        assert abs(v - want[(S.twice, M)]) <= EPS
 
 
 def test_projection_matches_loop_oracle_all_small_spins():
@@ -318,6 +331,12 @@ def test_exclusion_examples():
     assert exclusion_check(HALF) == {TwiceSpin(0)}
     assert exclusion_check(ONE) == {TwiceSpin(0), TwiceSpin(4)}
     assert exclusion_check(TwiceSpin(3)) == {TwiceSpin(0), TwiceSpin(4)}
+
+
+def test_exclusion_check_rejects_spin_above_bound():
+    exclusion_check(TwiceSpin(12))
+    with pytest.raises(ValueError, match="2s=13 exceeds supported maximum 12"):
+        exclusion_check(TwiceSpin(13))
 
 
 def test_exclusion_is_even_spins_for_all_small_s():

@@ -4,7 +4,6 @@ import pytest
 
 from spinframes import (
     N_FACT,
-    TwiceM,
     TwiceSpin,
     factorial_exact,
     fmt15,
@@ -32,14 +31,16 @@ def test_twice_spin_rejects_negative_and_nonint():
 
 def test_component_validates_range_and_parity():
     s = TwiceSpin(3)
-    assert s.component(3) == TwiceM(3)
-    assert s.component(-1) == TwiceM(-1)
+    assert s.component(3) == 3
+    assert s.component(-1) == -1
     with pytest.raises(ValueError):
         s.component(5)
     with pytest.raises(ValueError):
         s.component(2)  # wrong parity for half-integer spin
     with pytest.raises(TypeError):
         s.component(1.0)
+    with pytest.raises(TypeError):
+        s.component(True)
 
 
 def test_dim():
@@ -51,8 +52,6 @@ def test_dim():
 def test_str_forms():
     assert str(TwiceSpin(1)) == "1/2"
     assert str(TwiceSpin(4)) == "2"
-    assert str(TwiceM(-3)) == "-3/2"
-    assert str(TwiceM(0)) == "0"
 
 
 def test_factorial_small_values():
@@ -85,9 +84,9 @@ def test_factorial_bounds():
 
 
 def test_m_range_descending():
-    assert [m.twice for m in m_range(TwiceSpin(1))] == [1, -1]
-    assert [m.twice for m in m_range(TwiceSpin(0))] == [0]
-    assert [m.twice for m in m_range(TwiceSpin(4))] == [4, 2, 0, -2, -4]
+    assert m_range(TwiceSpin(1)) == [1, -1]
+    assert m_range(TwiceSpin(0)) == [0]
+    assert m_range(TwiceSpin(4)) == [4, 2, 0, -2, -4]
 
 
 def test_neg_one_pow_values():

@@ -74,6 +74,10 @@ def test_non_finite_momenta_rejected():
                 helicity_frame(p, good)
             with pytest.raises(ValueError, match="not finite"):
                 helicity_frame(good, p)
+            with pytest.raises(ValueError, match="momentum .* is not finite"):
+                bisector_axis(p, good)
+            with pytest.raises(ValueError, match="momentum .* is not finite"):
+                bisector_axis(good, p)
 
 
 def pow2_scaled(p: Vec3, k: int) -> Vec3:

@@ -87,7 +87,7 @@ def per_call_keys(d):
 
     content = (d.Q, (bits(d.p.x), bits(d.p.y), bits(d.p.z)), d.s.twice)
     rotation = tuple(bits(c) for c in d.R_BS.components())
-    return content, (content, d.m.twice, d.base.value, rotation)
+    return content, (content, d.m, d.base.value, rotation)
 
 
 def test_cached_keys_match_per_call_bits():
@@ -137,7 +137,7 @@ def test_cached_keys_stay_out_of_eq_hash_and_repr():
     twin = make_desc("u", Vec3(0.5, -0.0, 1), 1, -1, base=FrameTag.HELICITY, r=r)
     assert repr(d) == (
         "ParticleDescriptor(Q='u', p=Vec3(x=0.5, y=-0.0, z=1), s=TwiceSpin(twice=1), "
-        "m=TwiceM(twice=-1), base=<FrameTag.HELICITY: 'HELICITY'>, "
+        "m=-1, base=<FrameTag.HELICITY: 'HELICITY'>, "
         "R_BS=UnitQuaternion(w=0.0, x=0.6, y=0.0, z=-0.8))"
     )
     assert d == twin and d is not twin
@@ -186,12 +186,26 @@ def test_assemble_identity_rotations_is_point_mass():
     db = make_desc("d", p_b, 2, 0)
     state = assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
     # amplitude() indexes by the stored (canonically ordered) descriptors
-    point = (state.desc_a.m.twice, state.desc_b.m.twice)
+    point = (state.desc_a.m, state.desc_b.m)
     for la in m_range(state.desc_a.s):
         for lb in m_range(state.desc_b.s):
-            want = 1.0 if (la.twice, lb.twice) == point else 0.0
+            want = 1.0 if (la, lb) == point else 0.0
             assert abs(state.amplitude(la, lb) - want) < EPS
     assert abs(state.norm() - 1.0) < EPS
+
+
+def test_amplitude_checks_each_label_against_its_spin():
+    p_a, p_b = figure_pair(0.8)
+    state = assemble_pair_canonical_orderfree(
+        make_desc("u", p_a, 1, 1), make_desc("d", p_b, 2, 0), IDENTITY, IDENTITY
+    )
+    ta, tb = state.desc_a.s.twice, state.desc_b.s.twice
+    for la, lb in ((ta + 2, tb), (ta, tb + 2), (ta - 1, tb), (ta, tb - 1)):
+        with pytest.raises(ValueError):
+            state.amplitude(la, lb)
+    for la, lb in ((float(ta), tb), (ta, True)):
+        with pytest.raises(TypeError):
+            state.amplitude(la, lb)
 
 
 def test_assemble_norm_one_for_random_rotations():
@@ -412,7 +426,7 @@ def test_dump_matches_per_entry_rendering():
             ]
         else:
             entries = [
-                (la.twice, lb.twice, state.amplitude(la, lb))
+                (la, lb, state.amplitude(la, lb))
                 for la in m_range(state.desc_a.s)
                 for lb in m_range(state.desc_b.s)
             ]

@@ -48,7 +48,7 @@ def test_full_turn_signs():
 def test_y_rotation_matches_little_d_oracle():
     for ts in range(0, MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
-        order = [m.twice for m in m_range(s)]
+        order = m_range(s)
         for beta in (0.3, 1.1, 2.5, -0.7, 3.9):
             mat = wigner_D(s, from_axis_angle(YHAT, beta))
             for i, tmp in enumerate(order):
@@ -65,7 +65,7 @@ def test_z_rotation_phases():
         alpha = 0.9
         mat = wigner_D(s, from_axis_angle(ZHAT, alpha))
         for i, m in enumerate(m_range(s)):
-            want = cmath.exp(-0.5j * m.twice * alpha)
+            want = cmath.exp(-0.5j * m * alpha)
             assert abs(mat.entry(m, m) - want) < EPS
             for j, mc in enumerate(m_range(s)):
                 if i != j:
@@ -120,7 +120,7 @@ def test_matches_sympy_zyz_oracle():
     for ts in (1, 5, 12):
         s = TwiceSpin(ts)
         mat = wigner_D(s, q)
-        order = [m.twice for m in m_range(s)]
+        order = m_range(s)
         # a few entries only: each sympy entry costs tens of milliseconds
         for i, j in {(0, 0), (0, ts), (ts // 2, ts // 2), (1, ts - 1)}:
             want = Rotation.D(
@@ -199,13 +199,13 @@ def test_cg_against_ladder_oracle():
         oracle = ladder_cg_table(tj1, tj2)
         for m1 in m_range(s1):
             for m2 in m_range(s2):
-                tM = m1.twice + m2.twice
+                tM = m1 + m2
                 for tS in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
                     if abs(tM) > tS:
                         continue
                     S = TwiceSpin(tS)
                     got = clebsch_gordan(s1, s2, m1, m2, S, S.component(tM))
-                    want = oracle[(m1.twice, m2.twice, tS, tM)]
+                    want = oracle[(m1, m2, tS, tM)]
                     assert abs(got - want) < 1e-12
 
 
@@ -271,13 +271,13 @@ def test_cg_table_matches_sympy_oracle():
         for row, (m1, m2) in enumerate(labels):
             for col, (S, M) in enumerate(table.channels):
                 got = table.matrix[row, col]
-                if M.twice != m1.twice + m2.twice:
+                if M != m1 + m2:
                     assert got == 0.0
                     continue
                 want = float(
                     sympy_cg(
                         tj1 * half, tj2 * half, S.twice * half,
-                        m1.twice * half, m2.twice * half, M.twice * half,
+                        m1 * half, m2 * half, M * half,
                     )
                 )
                 assert abs(got - want) <= EPS
@@ -288,7 +288,7 @@ def test_cg_table_matches_sympy_oracle():
             1
             for m1, m2 in labels
             for S in table.allowed_total_spins()
-            if abs(m1.twice + m2.twice) <= S.twice
+            if abs(m1 + m2) <= S.twice
         )
 
 
@@ -306,10 +306,6 @@ def test_cg_table_is_read_only():
     table = CGTable(TwiceSpin(2), TwiceSpin(3))
     with pytest.raises(ValueError):
         table.matrix[0, 0] = 0.5
-    with pytest.raises(TypeError):
-        table._table[(2, 3, 5)] = 0.5
-    with pytest.raises(TypeError):
-        del table._table[(2, 3, 5)]
 
 
 def test_cg_tables_of_one_pair_share_the_plan():
@@ -317,7 +313,6 @@ def test_cg_tables_of_one_pair_share_the_plan():
     first, second = CGTable(s1, s2), CGTable(s1, s2)
     assert first.matrix is second.matrix
     assert first.channels is second.channels
-    assert first._table is second._table
     assert CGTable(s2, s1).matrix is not first.matrix
 
 
