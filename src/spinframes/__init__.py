@@ -26,20 +26,24 @@ from .composite import (
     CompositeProjection,
     PairSpinOperator,
     build_pair_spin_operator,
-    exclusion_check,
     max_commuting_pairset,
     project_composite,
     pseudo_antisymmetrize,
-    pseudo_antisymmetry_sign,
 )
 from .exactnum import (
     EPS,
+    MAX_TWICE_SPIN,
     N_FACT,
     TwiceSpin,
+    exchange_symmetry_sign,
+    exclusion_check,
     factorial_exact,
     fmt15,
     m_range,
     neg_one_pow,
+    order_dependence_phase,
+    pseudo_antisymmetry_sign,
+    total_spins,
 )
 from .frames import (
     CollinearMomentaError,
@@ -72,18 +76,10 @@ from .states import (
     assemble_ordered,
     assemble_pair_canonical_orderfree,
     exchange_order_dependent,
-    order_dependence_phase,
     pair_state_from_matrix,
     pure_permute,
     rotate_sqf,
 )
-from .wigner import (
-    MAX_TWICE_SPIN,
-    CGTable,
-    WignerMatrix,
-    clebsch_gordan,
-    exchange_symmetry_sign,
-    wigner_D,
-)
+from .wigner import CGTable, WignerMatrix, clebsch_gordan, wigner_D
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ import sys
 from typing import TextIO
 
 from .antisym_checker import impossibility_report, n2_only_pattern, report_lines
-from .composite import exclusion_check
-from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, m_range, order_dependence_phase
 from .frames import (
     CollinearMomentaError,
     _frame_residual,

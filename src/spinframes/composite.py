@@ -1,14 +1,6 @@
 """Composite spin of a pair, the even-S exclusion rule, and commuting
-subset-spin operators.
-
-Coupling two identical spins s, the coefficient relating the product basis to
-the composite basis picks up (-1)^(2s - S) under slot swap. Bringing both
-particles to one common quantization frame costs a further half-turn-squared
-sign (-1)^(2s), because the two particles' frames are related by a half-turn
-whose sheet is an order-dependent choice. The product of the two signs is
-(-1)^S: the net coefficient symmetry is even in S regardless of whether the
-spin is integer or half-integer, which is what confines identical pairs with
-all other quantum numbers equal to even composite spin.
+subset-spin operators. The integer sign rules behind the even-S rule live in
+exactnum; pseudo_antisymmetry_sign and exclusion_check stay bound here.
 """
 
 from __future__ import annotations
@@ -19,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
+from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .frames import bisector_axis
 from .rotations import UnitQuaternion, half_turn
-from .states import PairState
-from .wigner import MAX_TWICE_SPIN, CGTable, exchange_symmetry_sign, wigner_D
+from .states import PairState, _require_finite_amplitudes
+from .wigner import CGTable, wigner_D
 
 # Dense-matrix desk-scale bounds.
 MAX_OPERATOR_PARTICLES = 5
@@ -104,40 +97,12 @@ def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
         raise ValueError(
             f"matrix shape {psi.shape} does not match spin dimension {s.dim}"
         )
+    _require_finite_amplitudes(psi)
     out = psi + order_dependence_phase([1], [s]) * psi.T
     norm = np.linalg.norm(out)
     if norm < EPS:
         raise ValueError("projection annihilates this matrix entirely")
     return out / norm
-
-
-def pseudo_antisymmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:
-    """Net symmetry of the coupling coefficients once both particles use
-    order-independent common-frame descriptions.
-
-    The swap symmetry (-1)^(2s - S) of the coefficients combines with the
-    half-turn relating the two frames, squared: one full turn, (-1)^(2s).
-    The product is (-1)^S, so the sign is +1 exactly for even S.
-    """
-    return exchange_symmetry_sign(s, S) * order_dependence_phase([1], [s])
-
-
-def exclusion_check(s: TwiceSpin) -> set[TwiceSpin]:
-    """Composite spins available to an identical pair with every other
-    quantum number equal: the channels whose net coefficient symmetry is +1.
-
-    The result is always the even values {0, 2, ...} up to 2s, for integer
-    and half-integer s alike. 2s is bounded by MAX_TWICE_SPIN, like every
-    other spin argument, so the result stays small.
-    """
-    if s.twice > MAX_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
-    allowed = set()
-    for t in range(0, 2 * s.twice + 1, 2):
-        S = TwiceSpin(t)
-        if pseudo_antisymmetry_sign(s, S) == 1:
-            allowed.add(S)
-    return allowed
 
 
 def _single_spin_matrices(s: TwiceSpin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

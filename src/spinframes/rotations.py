@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS
+from .exactnum import EPS, _require_int
 
 # Geometry comparisons (frame orthonormality, matrix residuals) run at a
 # looser tolerance than the algebraic EPS.
@@ -103,7 +103,7 @@ def _pow2_scaled(p: Vec3) -> Vec3:
 
 def _require_finite(v: Vec3, what: str) -> None:
     """ValueError naming what and its components unless v is finite."""
-    if not all(math.isfinite(c) for c in (v.x, v.y, v.z)):
+    if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):
         raise ValueError(f"{what} {v.x!r},{v.y!r},{v.z!r} is not finite")
 
 
@@ -136,8 +136,7 @@ def half_turn(axis: Vec3, sheet: int) -> UnitQuaternion:
     double-cover sign laws downstream need bit for bit. The caller supplies
     a unit axis. There is no default sheet, and bool is not accepted as one.
     """
-    if isinstance(sheet, bool) or not isinstance(sheet, int):
-        raise TypeError(f"sheet must be an int, got {sheet!r}")
+    _require_int(sheet, "sheet")
     if sheet not in (1, -1):
         raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
     return UnitQuaternion(0.0, sheet * axis.x, sheet * axis.y, sheet * axis.z)

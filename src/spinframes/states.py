@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exactnum import EPS, TwiceSpin, fmt15, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
-from .rotations import UnitQuaternion, Vec3, compose, half_turn, inverse
+from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
 from .wigner import wigner_D
 
 
@@ -68,6 +68,7 @@ class ParticleDescriptor:
 
     def __post_init__(self) -> None:
         self.s.component(self.m)
+        _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
         content = (
             self.Q, struct.unpack("<3Q", struct.pack("<3d", p.x, p.y, p.z)), self.s.twice
@@ -110,10 +111,9 @@ def _joint_keys(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> list[
     """The pair's joint keys row by row, lambda_a descending then lambda_b
     descending: the row-major order of its amplitude matrix."""
     key_a, key_b = desc_a.content_key(), desc_b.content_key()
-    ta, tb = desc_a.s.twice, desc_b.s.twice
+    lams_b = m_range(desc_b.s)
     return [
-        _joint_key((key_a, la), (key_b, lb))
-        for la in range(ta, -ta - 1, -2) for lb in range(tb, -tb - 1, -2)
+        _joint_key((key_a, la), (key_b, lb)) for la in m_range(desc_a.s) for lb in lams_b
     ]
 
 
@@ -245,9 +245,7 @@ def _follow(
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
     base-frame projections m' (descending): column m of wigner_D(desc.s, q)."""
-    mat = wigner_D(desc.s, q)
-    col = (desc.s.twice - desc.m) // 2
-    return mat.entries[:, col].copy()
+    return wigner_D(desc.s, q).entries[:, desc.s.index(desc.m)].copy()
 
 
 def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
@@ -282,6 +280,12 @@ def assemble_pair_canonical_orderfree(
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
 
 
+def _require_finite_amplitudes(matrix: np.ndarray) -> None:
+    """ValueError unless every entry of the amplitude matrix is finite."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("amplitude matrix has non-finite entries")
+
+
 def pair_state_from_matrix(
     desc_a: ParticleDescriptor,
     desc_b: ParticleDescriptor,
@@ -303,6 +307,7 @@ def pair_state_from_matrix(
             f"matrix shape {matrix.shape} does not match spin dimensions "
             f"({desc_a.s.dim}, {desc_b.s.dim})"
         )
+    _require_finite_amplitudes(matrix)
     _require_noncollinear(desc_a, desc_b)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a, desc_b), values))

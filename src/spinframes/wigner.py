@@ -46,12 +46,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import TwiceSpin, factorial_exact, m_range, neg_one_pow
+from .exactnum import MAX_TWICE_SPIN, exchange_symmetry_sign  # noqa: F401  (bound here too)
+from .exactnum import (
+    TwiceSpin, _require_supported, factorial_exact, m_range, neg_one_pow, total_spins
+)
 from .rotations import UnitQuaternion
-
-# Largest 2s this module evaluates; the factorial budget and the intended
-# desk-scale use both stop here.
-MAX_TWICE_SPIN = 12
 
 
 def _cayley_klein(q: UnitQuaternion) -> tuple[complex, complex]:
@@ -70,11 +69,8 @@ class WignerMatrix:
         """Doubled projection labels indexing rows and columns, +2s down to -2s."""
         return tuple(m_range(self.s))
 
-    def _index(self, tm: int) -> int:
-        return (self.s.twice - self.s.component(tm)) // 2
-
     def entry(self, m_row: int, m_col: int) -> complex:
-        return complex(self.entries[self._index(m_row), self._index(m_col)])
+        return complex(self.entries[self.s.index(m_row), self.s.index(m_col)])
 
 
 class _Plan(NamedTuple):
@@ -91,7 +87,7 @@ class _Plan(NamedTuple):
 
 @cache
 def _plan(ts: int) -> _Plan:
-    order = range(ts, -ts - 1, -2)
+    order = m_range(TwiceSpin(ts))
     dim = ts + 1
     slots: list[int] = []
     coef: list[float] = []
@@ -137,8 +133,7 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
     coefficients and exponents are built once per 2s; every call returns a
     fresh array.
     """
-    if s.twice > MAX_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
+    _require_supported(s)
     ts = s.twice
     dim = s.dim
     plan = _plan(ts)
@@ -174,15 +169,10 @@ def clebsch_gordan(
     s1.component(tm1)
     s2.component(tm2)
     S.component(tM)
-    if not (abs(s1.twice - s2.twice) <= S.twice <= s1.twice + s2.twice):
+    if S.twice not in total_spins(s1, s2):
         raise ValueError(
-            f"total spin 2S={S.twice} outside triangle range for "
-            f"2s1={s1.twice}, 2s2={s2.twice}"
-        )
-    if (s1.twice + s2.twice - S.twice) % 2 != 0:
-        raise ValueError(
-            f"total spin 2S={S.twice} has wrong parity for "
-            f"2s1={s1.twice}, 2s2={s2.twice}"
+            f"total spin 2S={S.twice} is not a coupling of "
+            f"2s1={s1.twice} and 2s2={s2.twice} (triangle rule and parity)"
         )
     if tm1 + tm2 != tM:
         return 0.0
@@ -219,10 +209,6 @@ def clebsch_gordan(
     return sign * sqrt(float(pref * ksum * ksum))
 
 
-def _total_spins(ts1: int, ts2: int) -> list[TwiceSpin]:
-    return [TwiceSpin(t) for t in range(abs(ts1 - ts2), ts1 + ts2 + 1, 2)]
-
-
 class _Coupling(NamedTuple):
     """The Clebsch-Gordan coefficients of one spin pair, as a change of
     basis."""
@@ -236,7 +222,7 @@ class _Coupling(NamedTuple):
 @cache
 def _coupling(ts1: int, ts2: int) -> _Coupling:
     s1, s2 = TwiceSpin(ts1), TwiceSpin(ts2)
-    spins = _total_spins(ts1, ts2)
+    spins = [TwiceSpin(t) for t in total_spins(s1, s2)]
     channels = tuple((S, M) for S in spins for M in m_range(S))
     column = {channel: k for k, channel in enumerate(channels)}
     matrix = np.zeros((s1.dim * s2.dim, len(channels)))
@@ -271,31 +257,16 @@ class CGTable:
 
     def allowed_total_spins(self) -> list[TwiceSpin]:
         """Triangle-range total spins, ascending."""
-        return _total_spins(self.s1.twice, self.s2.twice)
+        return [TwiceSpin(t) for t in total_spins(self.s1, self.s2)]
 
     def coefficient(self, tm1: int, tm2: int, S: TwiceSpin, tM: int) -> float:
-        self.s1.component(tm1)
-        self.s2.component(tm2)
+        row = self.s1.index(tm1) * self.s2.dim + self.s2.index(tm2)
         S.component(tM)
         if tm1 + tm2 != tM:
             return 0.0
-        if (S, tM) not in self.channels:
+        if S.twice not in total_spins(self.s1, self.s2):
             raise ValueError(
                 f"2S={S.twice} outside triangle range for this table"
             )
-        row = (self.s1.twice - tm1) // 2 * self.s2.dim + (self.s2.twice - tm2) // 2
         return float(self.matrix[row, self.channels.index((S, tM))])
 
-
-def exchange_symmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:
-    """Sign picked up by the coupled state |S M> of two spin-s particles when
-    the two projection slots are swapped: (-1)^(2s - S).
-
-    Follows from the coefficient symmetry <s m2; s m1 | S M> =
-    (-1)^(2s - S) <s m1; s m2 | S M>; independent of M.
-    """
-    if S.twice % 2 != 0 or not (0 <= S.twice <= 2 * s.twice):
-        raise ValueError(
-            f"2S={S.twice} is not a valid total spin for two spin {s} particles"
-        )
-    return neg_one_pow(s.twice - S.twice // 2)

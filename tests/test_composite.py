@@ -176,15 +176,28 @@ def test_sheet_route_validation():
 
 
 def test_sheet_route_rejects_non_finite_momentum():
-    # a canonical pair never builds a helicity frame, so the bisector is the
-    # first place its momenta meet a finite check
+    # a canonical pair never builds a helicity frame; its momenta meet the
+    # finite check where the descriptor is built, before any state exists
     da, db = slot_pair(1, 1)
     for bad in (math.nan, math.inf):
-        state = pair_state_from_matrix(
-            replace(da, p=Vec3(bad, 0.0, 1.0)), db, np.eye(2, dtype=complex) / math.sqrt(2.0)
-        )
         with pytest.raises(ValueError, match="momentum .* is not finite"):
+            state = pair_state_from_matrix(
+                replace(da, p=Vec3(bad, 0.0, 1.0)), db, np.eye(2, dtype=complex) / math.sqrt(2.0)
+            )
             project_composite(state, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_amplitudes_rejected(bad):
+    da, db = slot_pair(1, 2)
+    psi = np.zeros((2, 3), dtype=complex)
+    psi[1, 2] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="amplitude matrix has non-finite entries"):
+        pair_state_from_matrix(da, db, psi)
+    square = np.eye(2, dtype=complex)
+    square[0, 1] = bad
+    with pytest.raises(ValueError, match="amplitude matrix has non-finite entries"):
+        pseudo_antisymmetrize(square, HALF)
 
 
 def loop_projection(state, route):
@@ -340,7 +353,7 @@ def test_exclusion_check_rejects_spin_above_bound():
 
 
 def test_exclusion_is_even_spins_for_all_small_s():
-    for ts in range(1, 7):
+    for ts in range(13):
         s = TwiceSpin(ts)
         want = {TwiceSpin(t) for t in range(0, 2 * ts + 1, 4)}
         assert exclusion_check(s) == want

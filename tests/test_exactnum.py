@@ -1,15 +1,27 @@
-"""Doubled-integer spin labels, exact factorials, parity signs."""
+"""Doubled-integer spin labels, exact factorials, parity signs, and the
+coupling sign rules that live with them."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinframes
 from spinframes import (
+    MAX_TWICE_SPIN,
     N_FACT,
     TwiceSpin,
+    Vec3,
     factorial_exact,
     fmt15,
+    half_turn,
     m_range,
     neg_one_pow,
+    order_dependence_phase,
+    total_spins,
 )
+from spinframes import cli, composite, exactnum, states, wigner
 
 
 def test_twice_spin_parity_flags():
@@ -111,3 +123,79 @@ def test_fmt15_deterministic_and_normalizes_negative_zero():
     assert fmt15(-0.0) == "0"
     assert fmt15(0.5) == "0.5"
     assert fmt15(2.0 / 3.0) == "0.666666666666667"
+
+
+def test_index_is_the_position_in_m_range():
+    for ts in range(MAX_TWICE_SPIN + 1):
+        s = TwiceSpin(ts)
+        order = m_range(s)
+        for tm in order:
+            assert s.index(tm) == order.index(tm)
+        for bad in (ts + 2, -ts - 2, ts + 1, ts - 1, 1.0, True, None):
+            with pytest.raises((TypeError, ValueError)) as want:
+                s.component(bad)
+            with pytest.raises((TypeError, ValueError)) as got:
+                s.index(bad)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
+def test_total_spins_is_the_triangle_rule():
+    for t1 in range(MAX_TWICE_SPIN + 1):
+        for t2 in range(MAX_TWICE_SPIN + 1):
+            want = [
+                t
+                for t in range(2 * MAX_TWICE_SPIN + 1)
+                if abs(t1 - t2) <= t <= t1 + t2 and (t1 + t2 - t) % 2 == 0
+            ]
+            assert list(total_spins(TwiceSpin(t1), TwiceSpin(t2))) == want
+
+
+def test_int_checks_name_their_argument():
+    calls = (
+        (TwiceSpin, "twice-spin"),
+        (TwiceSpin(1).component, "twice-m"),
+        (TwiceSpin(1).index, "twice-m"),
+        (factorial_exact, "factorial argument"),
+        (neg_one_pow, "exponent"),
+        (lambda v: order_dependence_phase([v], [TwiceSpin(1)]), "turn count"),
+        (lambda v: half_turn(Vec3(0.0, 0.0, 1.0), v), "sheet"),
+    )
+    for call, what in calls:
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(TypeError) as got:
+                call(bad)
+            assert str(got.value) == f"{what} must be an int, got {bad!r}"
+
+
+def test_moved_names_are_one_object_everywhere():
+    # the benchmark tracer rebinds a function wherever the same object is bound
+    bound = {
+        wigner: ("MAX_TWICE_SPIN", "exchange_symmetry_sign"),
+        composite: ("pseudo_antisymmetry_sign", "exclusion_check"),
+        cli: ("exclusion_check",),
+        states: ("order_dependence_phase",),
+    }
+    for module, names in bound.items():
+        for name in names:
+            assert getattr(module, name) is getattr(exactnum, name)
+            assert getattr(spinframes, name) is getattr(exactnum, name)
+
+
+def test_exactnum_loads_alone_without_numpy():
+    path = Path(__file__).resolve().parents[1] / "src" / "spinframes" / "exactnum.py"
+    script = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("exactnum", {str(path)!r})
+mod = importlib.util.module_from_spec(spec)
+sys.modules["exactnum"] = mod
+spec.loader.exec_module(mod)
+allowed = mod.exclusion_check(mod.TwiceSpin(3))
+assert allowed == {{mod.TwiceSpin(0), mod.TwiceSpin(4)}}, allowed
+print("numpy" in sys.modules)
+"""
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -293,7 +293,8 @@ def test_collinearity_enforced_only_for_helicity_base():
 
 
 def test_helicity_pairs_rejected_like_helicity_frame():
-    # the frame-free check raises what helicity_frame raises, word for word
+    # the frame-free check raises what helicity_frame raises, word for word;
+    # a non-finite momentum raises it already where the descriptor is built
     v = Vec3(0.3, -0.2, 0.9)
     zero = Vec3(0.0, 0.0, 0.0)
     cases = (
@@ -309,7 +310,15 @@ def test_helicity_pairs_rejected_like_helicity_frame():
     for p_a, p_b in cases:
         with pytest.raises(ValueError) as want:
             helicity_frame(p_a, p_b)
+        finite = all(math.isfinite(c) for p in (p_a, p_b) for c in (p.x, p.y, p.z))
         for base_a, base_b in ((helicity, helicity), (helicity, canonical), (canonical, helicity)):
+            if not finite:
+                with pytest.raises(ValueError) as got:
+                    make_desc("u", p_a, 1, 1, base=base_a)
+                    make_desc("d", p_b, 1, -1, base=base_b)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+                continue
             da = make_desc("u", p_a, 1, 1, base=base_a)
             db = make_desc("d", p_b, 1, -1, base=base_b)
             for build in (
@@ -320,6 +329,8 @@ def test_helicity_pairs_rejected_like_helicity_frame():
                     build()
                 assert type(got.value) is type(want.value)
                 assert str(got.value) == str(want.value)
+        if not finite:
+            continue
         # canonical-based descriptions carry their frames independently
         da = make_desc("u", p_a, 1, 1)
         db = make_desc("d", p_b, 1, -1)

@@ -169,7 +169,7 @@ def test_entry_accessor_and_m_order():
 
 def test_spin_bound():
     wigner_D(TwiceSpin(MAX_TWICE_SPIN), IDENTITY)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2s=13 exceeds supported maximum 12"):
         wigner_D(TwiceSpin(MAX_TWICE_SPIN + 1), IDENTITY)
 
 
@@ -215,11 +215,10 @@ def test_cg_selection_rules_and_errors():
     up = half.component(1)
     # M != m1 + m2 is zero, not an error
     assert clebsch_gordan(half, half, up, up, one, one.component(0)) == 0.0
-    # triangle violation is an error
-    with pytest.raises(ValueError):
+    # triangle violation and parity mismatch between twice-labels raise one error
+    with pytest.raises(ValueError, match=r"2S=4 is not a coupling of 2s1=1 and 2s2=1 \("):
         clebsch_gordan(half, half, up, up, TwiceSpin(4), TwiceSpin(4).component(2))
-    # parity mismatch between twice-labels is an error
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"2S=1 is not a coupling of 2s1=1 and 2s2=1 \("):
         clebsch_gordan(
             half, half, up, half.component(-1), TwiceSpin(1), TwiceSpin(1).component(1)
         )
