@@ -2,13 +2,15 @@
 
 Every subcommand is deterministic: fixed inputs give byte-identical output.
 Exit codes: 0 when the report ran and its claims hold, 1 if a claim fails
-(which a correct library never produces), 2 on input errors.
+(which a correct library never produces), 2 on input errors, and 141, as for
+SIGPIPE, when the reader closes the output before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TextIO
 
@@ -203,7 +205,17 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         out = opened
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        # flush here, so that a reader that closed early is caught below
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the buffered rest goes to devnull, so the flush at exit stays
+        # silent; the exit code is the one shells report for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     except CollinearMomentaError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -32,8 +32,8 @@ spin pair is built once per (2s1, 2s2), on first use, and cached: the channel
 keys (S, 2M) with S ascending and M descending, and the coefficients as a
 read-only dense real orthogonal matrix from the product basis (m1, m2
 descending, m2 fastest) to those channels. A coupled state is then one matrix
-product. The factorial cap bounds the spin pairs that can be built, so the
-cache stays bounded.
+product. clebsch_gordan and CGTable.coefficient both read that table.
+MAX_TWICE_SPIN bounds both spins, so the cache holds at most 169 tables.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import sqrt
+from math import factorial, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .exactnum import MAX_TWICE_SPIN, exchange_symmetry_sign  # noqa: F401  (bound here too)
 from .exactnum import (
-    TwiceSpin, _require_supported, factorial_exact, m_range, neg_one_pow, total_spins
+    TwiceSpin, _require_supported, factorial_exact, m_range, total_spins
 )
 from .rotations import UnitQuaternion
 
@@ -152,35 +152,14 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
     return WignerMatrix(s=s, q=q, entries=out.view(complex).reshape(dim, dim))
 
 
-def clebsch_gordan(
-    s1: TwiceSpin,
-    s2: TwiceSpin,
-    tm1: int,
-    tm2: int,
-    S: TwiceSpin,
-    tM: int,
-) -> float:
-    """<s1 m1; s2 m2 | S M> in the Condon-Shortley convention (real), with
-    the projections given as 2m1, 2m2 and 2M.
-
-    S must satisfy the triangle rule with s1, s2 (including the parity of the
-    doubled labels); the coefficient is zero whenever M != m1 + m2.
-    """
-    s1.component(tm1)
-    s2.component(tm2)
-    S.component(tM)
-    if S.twice not in total_spins(s1, s2):
-        raise ValueError(
-            f"total spin 2S={S.twice} is not a coupling of "
-            f"2s1={s1.twice} and 2s2={s2.twice} (triangle rule and parity)"
-        )
-    if tm1 + tm2 != tM:
-        return 0.0
-
-    ts1, ts2, tS = s1.twice, s2.twice, S.twice
+def _racah(ts1: int, ts2: int, tS: int, tm1: int, tm2: int) -> float:
+    """<s1 m1; s2 m2 | S M> with M = m1 + m2, from doubled labels that are
+    valid by construction: the alternating sum over exact rational
+    factorials, with a single square root at the end."""
+    tM = tm1 + tm2
 
     def fh(t: int) -> int:
-        return factorial_exact(t // 2)
+        return factorial(t // 2)
 
     pref = Fraction(tS + 1)
     pref *= Fraction(
@@ -195,47 +174,35 @@ def clebsch_gordan(
     ksum = Fraction(0)
     for k in range(k_lo, k_hi + 1):
         den = (
-            factorial_exact(k)
+            factorial(k)
             * fh(ts1 + ts2 - tS - 2 * k)
             * fh(ts1 - tm1 - 2 * k)
             * fh(ts2 + tm2 - 2 * k)
             * fh(tS - ts2 + tm1 + 2 * k)
             * fh(tS - ts1 - tm2 + 2 * k)
         )
-        ksum += Fraction(neg_one_pow(k), den)
+        ksum += Fraction(-1 if k % 2 else 1, den)
     if ksum == 0:
         return 0.0
     sign = 1.0 if ksum > 0 else -1.0
     return sign * sqrt(float(pref * ksum * ksum))
 
 
-class _Coupling(NamedTuple):
-    """The Clebsch-Gordan coefficients of one spin pair, as a change of
-    basis."""
-
-    # (S, 2M) per column: S ascending, M descending within each S
-    channels: tuple[tuple[TwiceSpin, int], ...]
-    # row m1_index * (2s2 + 1) + m2_index, column per channel; orthogonal
-    matrix: np.ndarray
-
-
 @cache
-def _coupling(ts1: int, ts2: int) -> _Coupling:
+def _coupling(
+    ts1: int, ts2: int
+) -> tuple[tuple[tuple[TwiceSpin, int], ...], np.ndarray]:
     s1, s2 = TwiceSpin(ts1), TwiceSpin(ts2)
-    spins = [TwiceSpin(t) for t in total_spins(s1, s2)]
-    channels = tuple((S, M) for S in spins for M in m_range(S))
-    column = {channel: k for k, channel in enumerate(channels)}
+    channels = tuple(
+        (S, tM) for S in map(TwiceSpin, total_spins(s1, s2)) for tM in m_range(S)
+    )
     matrix = np.zeros((s1.dim * s2.dim, len(channels)))
-    for i, tm1 in enumerate(m_range(s1)):
-        for j, tm2 in enumerate(m_range(s2)):
-            tM = tm1 + tm2
-            for S in spins:
-                if abs(tM) > S.twice:
-                    continue
-                value = clebsch_gordan(s1, s2, tm1, tm2, S, tM)
-                matrix[i * s2.dim + j, column[(S, tM)]] = value
+    for col, (S, tM) in enumerate(channels):
+        for tm1 in range(min(ts1, tM + ts2), max(-ts1, tM - ts2) - 1, -2):
+            row = (ts1 - tm1) // 2 * s2.dim + (ts2 - tM + tm1) // 2
+            matrix[row, col] = _racah(ts1, ts2, S.twice, tm1, tM - tm1)
     matrix.flags.writeable = False
-    return _Coupling(channels, matrix)
+    return channels, matrix
 
 
 class CGTable:
@@ -251,22 +218,41 @@ class CGTable:
     """
 
     def __init__(self, s1: TwiceSpin, s2: TwiceSpin):
+        _require_supported(s1)
+        _require_supported(s2)
         self.s1 = s1
         self.s2 = s2
         self.channels, self.matrix = _coupling(s1.twice, s2.twice)
 
-    def allowed_total_spins(self) -> list[TwiceSpin]:
-        """Triangle-range total spins, ascending."""
-        return [TwiceSpin(t) for t in total_spins(self.s1, self.s2)]
-
     def coefficient(self, tm1: int, tm2: int, S: TwiceSpin, tM: int) -> float:
+        """<s1 m1; s2 m2 | S M>, every label checked: each projection against
+        its spin, and S against the triangle rule (including the parity of
+        the doubled labels), before the M = m1 + m2 selection rule."""
         row = self.s1.index(tm1) * self.s2.dim + self.s2.index(tm2)
         S.component(tM)
-        if tm1 + tm2 != tM:
-            return 0.0
         if S.twice not in total_spins(self.s1, self.s2):
             raise ValueError(
-                f"2S={S.twice} outside triangle range for this table"
+                f"total spin 2S={S.twice} is not a coupling of 2s1="
+                f"{self.s1.twice} and 2s2={self.s2.twice} (triangle rule and parity)"
             )
+        if tm1 + tm2 != tM:
+            return 0.0
         return float(self.matrix[row, self.channels.index((S, tM))])
 
+
+def clebsch_gordan(
+    s1: TwiceSpin,
+    s2: TwiceSpin,
+    tm1: int,
+    tm2: int,
+    S: TwiceSpin,
+    tM: int,
+) -> float:
+    """<s1 m1; s2 m2 | S M> in the Condon-Shortley convention (real), with
+    the projections given as 2m1, 2m2 and 2M, read from the pair's shared
+    table (built on first use).
+
+    S must satisfy the triangle rule with s1, s2 (including the parity of the
+    doubled labels); the coefficient is zero whenever M != m1 + m2.
+    """
+    return CGTable(s1, s2).coefficient(tm1, tm2, S, tM)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs through a real subprocess: golden report
 bytes, exit codes, determinism, and the error paths."""
 
+import os
 import subprocess
 import sys
 
@@ -313,3 +314,24 @@ def test_unwritable_out_exit_2(tmp_path):
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+def test_closed_pipe_exits_quietly_and_claims_nothing():
+    # a reader gone before the first byte, as under `| head -1`: no traceback,
+    # and an exit code that is neither success, a failed claim nor bad input
+    for args in (
+        ("dmatrix", "--s2", "12", "--axis", "0,0,1", "--angle", "1"),
+        ("exclusion", "--s2", "3"),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "spinframes", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (141, "")

@@ -5,6 +5,7 @@ where sympy is installed, and a ladder-operator construction of the coupling
 table."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -24,6 +25,7 @@ from spinframes import (
     exchange_symmetry_sign,
     from_axis_angle,
     m_range,
+    total_spins,
     wigner_D,
 )
 from util import rand_quaternion
@@ -168,9 +170,16 @@ def test_entry_accessor_and_m_order():
 
 
 def test_spin_bound():
-    wigner_D(TwiceSpin(MAX_TWICE_SPIN), IDENTITY)
+    top, over = TwiceSpin(MAX_TWICE_SPIN), TwiceSpin(MAX_TWICE_SPIN + 1)
+    wigner_D(top, IDENTITY)
+    CGTable(top, top)
     with pytest.raises(ValueError, match="2s=13 exceeds supported maximum 12"):
-        wigner_D(TwiceSpin(MAX_TWICE_SPIN + 1), IDENTITY)
+        wigner_D(over, IDENTITY)
+    for s1, s2 in ((over, top), (top, over), (TwiceSpin(0), over)):
+        with pytest.raises(ValueError, match="2s=13 exceeds supported maximum 12"):
+            CGTable(s1, s2)
+        with pytest.raises(ValueError, match="2s=13 exceeds supported maximum 12"):
+            clebsch_gordan(s1, s2, s1.twice, s2.twice, over, s1.twice + s2.twice)
 
 
 def test_cg_frozen_values():
@@ -225,6 +234,15 @@ def test_cg_selection_rules_and_errors():
     # m invalid for its spin
     with pytest.raises(ValueError):
         clebsch_gordan(half, half, one.component(2), up, one, one.component(2))
+    # an invalid S raises off the M = m1 + m2 diagonal too, from either door
+    table = CGTable(half, half)
+    dn = half.component(-1)
+    for read in (table.coefficient, lambda *m_S_M: clebsch_gordan(half, half, *m_S_M)):
+        for tm2, tS, tM in ((dn, 1, 1), (up, 4, 0)):
+            with pytest.raises(
+                ValueError, match=rf"2S={tS} is not a coupling of 2s1=1 and 2s2=1 \("
+            ):
+                read(up, tm2, TwiceSpin(tS), tM)
 
 
 def test_cg_table_orthonormality_both_ways():
@@ -234,7 +252,7 @@ def test_cg_table_orthonormality_both_ways():
         labels = [(m1, m2) for m1 in m_range(s1) for m2 in m_range(s2)]
         couplings = [
             (S, S.component(tM))
-            for S in table.allowed_total_spins()
+            for S in map(TwiceSpin, total_spins(s1, s2))
             for tM in range(S.twice, -S.twice - 1, -2)
         ]
         # completeness over (S, M) for fixed product labels
@@ -286,7 +304,7 @@ def test_cg_table_matches_sympy_oracle():
         assert checked == sum(
             1
             for m1, m2 in labels
-            for S in table.allowed_total_spins()
+            for S in map(TwiceSpin, total_spins(s1, s2))
             if abs(m1 + m2) <= S.twice
         )
 
@@ -299,6 +317,34 @@ def test_cg_matrix_is_orthogonal():
             assert c.shape == eye.shape
             assert np.abs(c.T @ c - eye).max() <= 1e-12
             assert np.abs(c @ c.T - eye).max() <= 1e-12
+
+
+def test_cg_tables_are_pinned_bit_for_bit():
+    # sha256 of every table's channel labels and little-endian matrix bytes,
+    # 2s1, 2s2 in 0..12: a changed bit, channel order or layout changes it
+    digest = hashlib.sha256()
+    for tj1 in range(MAX_TWICE_SPIN + 1):
+        for tj2 in range(MAX_TWICE_SPIN + 1):
+            t = CGTable(TwiceSpin(tj1), TwiceSpin(tj2))
+            digest.update(repr([(S.twice, tM) for S, tM in t.channels]).encode())
+            digest.update(t.matrix.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "32f4e7fd015a7eff719c95ecb111e658ddcb8251bafc687248897f48146a70a2"
+    )
+
+
+def test_clebsch_gordan_reads_the_table():
+    # every valid label of every pair up to 2s = 6, on and off the diagonal
+    for tj1 in range(7):
+        for tj2 in range(7):
+            s1, s2 = TwiceSpin(tj1), TwiceSpin(tj2)
+            table = CGTable(s1, s2)
+            for m1 in m_range(s1):
+                for m2 in m_range(s2):
+                    for S in map(TwiceSpin, total_spins(s1, s2)):
+                        for tM in m_range(S):
+                            got = clebsch_gordan(s1, s2, m1, m2, S, tM)
+                            assert got == table.coefficient(m1, m2, S, tM)
 
 
 def test_cg_table_is_read_only():
