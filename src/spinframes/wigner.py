@@ -237,7 +237,15 @@ class CGTable:
             )
         if tm1 + tm2 != tM:
             return 0.0
-        return float(self.matrix[row, self.channels.index((S, tM))])
+        return float(self.matrix[row, self._column(S, tM)])
+
+    def _column(self, S: TwiceSpin, tM: int) -> int:
+        """Column of the channel (S, 2M), labels unchecked: the blocks of
+        channels run 2S' = lo, lo + 2, ... with 2S' + 1 columns each, so k
+        blocks before S's hold k(lo + 1) + k(k - 1) = k(lo + k) columns."""
+        lo = abs(self.s1.twice - self.s2.twice)
+        k = (S.twice - lo) // 2
+        return k * (lo + k) + (S.twice - tM) // 2
 
 
 def clebsch_gordan(

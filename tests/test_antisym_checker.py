@@ -293,7 +293,73 @@ def test_constraints_are_the_pairs_in_lexicographic_order():
     for n in range(2, 41):
         want = tuple((i, j) for i in range(n) for j in range(i + 1, n))
         assert build_constraints(n).constraints == want
-        assert type(build_constraints(n).constraints) is tuple
+        pairs = build_constraints(n).constraints
+        assert want == pairs and not pairs != want
+        if n > 2:
+            assert pairs != want[::-1] and want[::-1] != pairs
+        assert tuple(pairs) == want
+        assert tuple(pairs) == want  # a second pass makes the same pairs
+        assert len(pairs) == len(want)
+        assert hash(pairs) == hash(want)
+        for k in range(1, len(want) + 1):
+            assert pairs[k - 1] == want[k - 1]
+            assert pairs[-k] == want[-k]
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                pairs[k]
+        assert pairs[1:4] == want[1:4] and pairs[::-2] == want[::-2]
+
+
+def test_complete_system_equals_and_hashes_like_its_tuple():
+    for n in range(2, 13):
+        lazy = build_constraints(n)
+        want = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        explicit = ExchangeConstraintSystem(n_vars=n, constraints=want)
+        assert lazy == explicit and explicit == lazy
+        assert hash(lazy) == hash(explicit)
+        assert lazy == build_constraints(n)
+        assert lazy != build_constraints(n + 1)
+        assert lazy != ExchangeConstraintSystem(n_vars=n, constraints=want[:-1])
+        assert lazy != ExchangeConstraintSystem(n_vars=n + 1, constraints=want)
+        assert exhaustive_satisfiable(lazy) == exhaustive_satisfiable(explicit)
+
+
+def test_complete_pairs_must_fit_the_variables():
+    pairs = build_constraints(5).constraints
+    with pytest.raises(ValueError, match="exceed"):
+        ExchangeConstraintSystem(n_vars=3, constraints=pairs)
+    # K_5 on 7 variables leaves two of them free
+    wider = ExchangeConstraintSystem(n_vars=7, constraints=pairs)
+    assert wider == ExchangeConstraintSystem(n_vars=7, constraints=tuple(pairs))
+    assert exhaustive_satisfiable(wider) == (False, None, 0)
+    with pytest.raises(TypeError, match="n_vars"):
+        ExchangeConstraintSystem(n_vars=5.0, constraints=pairs)
+
+
+def test_non_int_labels_rejected():
+    with pytest.raises(TypeError, match="n_vars"):
+        ExchangeConstraintSystem(n_vars=2.5, constraints=((0, 1),))
+    with pytest.raises(TypeError, match="n_vars"):
+        ExchangeConstraintSystem(n_vars=True, constraints=())
+    with pytest.raises(TypeError, match="constraint end"):
+        ExchangeConstraintSystem(n_vars=2, constraints=((0, True),))
+    with pytest.raises(TypeError, match="constraint end"):
+        ExchangeConstraintSystem(n_vars=2, constraints=((0, 1.0),))
+    with pytest.raises(TypeError, match="constraint end"):
+        ExchangeConstraintSystem(n_vars=2, constraints=((0.0, 1),))
+    with pytest.raises(TypeError):
+        build_constraints(2.5)
+    with pytest.raises(TypeError):
+        impossibility_report(3.0)
+
+
+def test_solver_reads_a_huge_complete_graph_on_demand():
+    # K_100000 has about 5e9 pairs; the solver meets its first triangle at
+    # the 100000th
+    system = build_constraints(100_000)
+    assert len(system.constraints) == 100_000 * 99_999 // 2
+    assert system.constraints[100_000 - 1] == (1, 2)
+    assert exhaustive_satisfiable(system) == (False, None, 0)
 
 
 def test_solver_matches_enumeration_oracle_property():

@@ -347,6 +347,15 @@ def test_clebsch_gordan_reads_the_table():
                             assert got == table.coefficient(m1, m2, S, tM)
 
 
+def test_cg_column_is_the_channel_index():
+    # the column that the channel layout fixes is the one a scan finds
+    for tj1 in range(MAX_TWICE_SPIN + 1):
+        for tj2 in range(MAX_TWICE_SPIN + 1):
+            table = CGTable(TwiceSpin(tj1), TwiceSpin(tj2))
+            for col, (S, tM) in enumerate(table.channels):
+                assert table._column(S, tM) == table.channels.index((S, tM)) == col
+
+
 def test_cg_table_is_read_only():
     table = CGTable(TwiceSpin(2), TwiceSpin(3))
     with pytest.raises(ValueError):
