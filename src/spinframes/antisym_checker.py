@@ -13,6 +13,12 @@ complete graph K_N, which contains a triangle once N >= 3. K_N's pairs are
 made on demand, never stored, and the solver reads the constraints one at a
 time and stops at the first odd cycle, so it never looks at more of K_N
 than that triangle needs.
+
+The impossibility report does not solve each K_N afresh. K_N is a subgraph
+of K_(N+1), so one parity forest, grown a particle at a time, holds every
+K_N in turn; and once the triangle on particles 0, 1, 2 closes an odd cycle,
+that cycle is in every later K_N, so every later row is unsatisfiable with
+no more work.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from typing import NamedTuple, Optional
 from .exactnum import TwiceSpin, _require_int, order_dependence_phase
 
 # Largest N of the impossibility report: a scale guard on the report's
-# rows, one solved system per N, whose total work grows as N^2.
+# rows. The rows come from one parity forest grown to N particles, which
+# stops joining at the first odd cycle (N = 3), so total work grows as N.
 MAX_REPORT_N = 20
 
 
@@ -38,6 +45,10 @@ class ParityLedger:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.n_particles, "n_particles")
+        for row in self.table:
+            for turns in row:
+                _require_int(turns, "turn count")
         if len(self.table) != self.n_particles or any(
             len(row) != self.n_particles for row in self.table
         ):
@@ -78,6 +89,8 @@ def check_noninterference(
     if before.n_particles != after.n_particles:
         raise ValueError("ledgers have different particle counts")
     i, j = exchanged
+    _require_int(i, "exchanged end")
+    _require_int(j, "exchanged end")
     if i == j or not (0 <= i < before.n_particles and 0 <= j < before.n_particles):
         raise ValueError(f"invalid exchanged pair {exchanged!r}")
     return all(
@@ -182,6 +195,66 @@ class SatResult(NamedTuple):
     count: int
 
 
+class _ParityForest:
+    """Union-find over parity variables x_0, x_1, ..., each keeping its
+    parity to its tree's root (Tarjan's disjoint-set forest with parities).
+
+    Variables are added one at a time, each in a tree of its own. A join
+    imposes x_i XOR x_j = 1: it hangs the smaller tree under the larger, so
+    trees stay O(log N) deep, or, when i and j already share a tree, it
+    checks the cycle the constraint closes and reports an odd one."""
+
+    __slots__ = ("parent", "parity", "size", "trees")
+
+    def __init__(self, n: int = 0) -> None:
+        self.parent = list(range(n))
+        self.parity = [0] * n  # x_v XOR x_parent[v]
+        self.size = [1] * n
+        self.trees = n
+
+    def add(self) -> int:
+        """A new free variable, in a tree of its own; returns its index."""
+        v = len(self.parent)
+        self.parent.append(v)
+        self.parity.append(0)
+        self.size.append(1)
+        self.trees += 1
+        return v
+
+    def find(self, v: int) -> tuple[int, int]:
+        """(root, x_v XOR x_root) of v's tree."""
+        parent, parity = self.parent, self.parity
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    def join(self, i: int, j: int) -> bool:
+        """Impose x_i XOR x_j = 1; False, with the forest unchanged, iff the
+        constraint closes an odd cycle."""
+        # walk both ends to their roots; p ends as x_i XOR x_j when the
+        # roots coincide (the root's own term cancels)
+        parent, parity = self.parent, self.parity
+        p = 0
+        while parent[i] != i:
+            p ^= parity[i]
+            i = parent[i]
+        while parent[j] != j:
+            p ^= parity[j]
+            j = parent[j]
+        if i == j:
+            return p == 1
+        size = self.size
+        if size[i] < size[j]:
+            i, j = j, i
+        parent[j] = i
+        parity[j] = p ^ 1
+        size[i] += size[j]
+        self.trees -= 1
+        return True
+
+
 def exhaustive_satisfiable(system: ExchangeConstraintSystem) -> SatResult:
     """Decide the system over all 2^N assignments by 2-colouring its
     constraint graph online, with a union-find that keeps each variable's
@@ -199,52 +272,45 @@ def exhaustive_satisfiable(system: ExchangeConstraintSystem) -> SatResult:
     variable is 0: the least solution read as the integer sum x_i 2^i.
     """
     n = system.n_vars
-    parent = list(range(n))
-    parity = [0] * n  # x_v XOR x_parent[v]
-    size = [1] * n
-    trees = n
+    forest = _ParityForest(n)
+    join = forest.join
     for i, j in system.constraints:
-        # walk both ends to their roots; p ends as x_i XOR x_j when the
-        # roots coincide (the root's own term cancels)
-        p = 0
-        while parent[i] != i:
-            p ^= parity[i]
-            i = parent[i]
-        while parent[j] != j:
-            p ^= parity[j]
-            j = parent[j]
-        if i == j:
-            if not p:
-                return SatResult(satisfiable=False, witness=None, count=0)
-            continue
-        if size[i] < size[j]:
-            i, j = j, i
-        parent[j] = i
-        parity[j] = p ^ 1
-        size[i] += size[j]
-        trees -= 1
+        if not join(i, j):
+            return SatResult(satisfiable=False, witness=None, count=0)
     # reversed order meets each tree first at its highest-index variable,
     # whose parity to the root then fixes that tree's colouring
     flip: dict[int, int] = {}
     colour = [0] * n
     for v in reversed(range(n)):
-        p = 0
-        root = v
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
+        root, p = forest.find(v)
         colour[v] = p ^ flip.setdefault(root, p)
-    return SatResult(satisfiable=True, witness=tuple(colour), count=2**trees)
+    return SatResult(satisfiable=True, witness=tuple(colour), count=2**forest.trees)
 
 
 def impossibility_report(n_max: int) -> list[tuple[int, bool, int]]:
-    """(N, satisfiable, count) rows for N = 2..n_max."""
+    """(N, satisfiable, count) rows for N = 2..n_max, read off one parity
+    forest grown a particle at a time.
+
+    K_N is a subgraph of K_(N+1): particle v joins 0..v-1, which are
+    exactly the pairs K_(v+1) adds to K_v, so after those joins the forest
+    holds K_(v+1) and gives its row, with 2^(trees) solutions. An odd cycle
+    is a subgraph of every larger K_N, so after the first failed join
+    (the triangle on particles 0, 1, 2, at N = 3) every later row is
+    (N, False, 0) with no more joins. The rows equal those of
+    exhaustive_satisfiable(build_constraints(N)) for each N, at O(n_max)
+    work for the whole report.
+    """
+    _require_int(n_max, "N_max")
     if not 2 <= n_max <= MAX_REPORT_N:
         raise ValueError(f"N_max={n_max} outside [2, {MAX_REPORT_N}]")
+    forest = _ParityForest(1)
+    satisfiable = True
     rows = []
     for n in range(2, n_max + 1):
-        result = exhaustive_satisfiable(build_constraints(n))
-        rows.append((n, result.satisfiable, result.count))
+        if satisfiable:
+            v = forest.add()
+            satisfiable = all(forest.join(u, v) for u in range(v))
+        rows.append((n, satisfiable, 2**forest.trees if satisfiable else 0))
     return rows
 
 

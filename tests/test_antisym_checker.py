@@ -22,6 +22,7 @@ from spinframes import (
     order_dependence_phase,
     report_lines,
 )
+from spinframes import antisym_checker
 from oracles import dfs_two_colouring, parity_assignments
 
 HALF = TwiceSpin(1)
@@ -109,6 +110,30 @@ def test_noninterference():
         check_noninterference(before, after_ok, (1, 1))
     with pytest.raises(ValueError, match="invalid"):
         check_noninterference(before, after_ok, (0, 3))
+
+
+def test_ledger_and_exchange_reject_non_int_labels():
+    zero = ParityLedger.from_rows([[0, 0, 0]] * 3)
+    # each case passed before, or failed only later inside exchange_sign
+    with pytest.raises(TypeError, match="exchanged end"):
+        check_noninterference(zero, zero, (0, True))
+    with pytest.raises(TypeError, match="exchanged end"):
+        check_noninterference(zero, zero, (0.0, 1.0))
+    with pytest.raises(TypeError, match="n_particles"):
+        ParityLedger(n_particles=True, table=((0,),))
+    with pytest.raises(TypeError, match="turn count"):
+        ParityLedger(n_particles=2, table=((0, 0.5), (0, 0)))
+    with pytest.raises(TypeError, match="turn count"):
+        ParityLedger.from_rows([[0, False], [0, 0]])
+    # the type is checked before the shape and the range
+    with pytest.raises(TypeError, match="n_particles"):
+        ParityLedger(n_particles=2.0, table=((0,),))
+    with pytest.raises(TypeError, match="turn count"):
+        ParityLedger(n_particles=2, table=((0.5,),))
+    with pytest.raises(TypeError, match="exchanged end"):
+        check_noninterference(zero, zero, (1.0, 1.0))
+    with pytest.raises(TypeError, match="exchanged end"):
+        check_noninterference(zero, zero, (0, 3.0))
 
 
 def test_constraint_counts():
@@ -349,8 +374,10 @@ def test_non_int_labels_rejected():
         ExchangeConstraintSystem(n_vars=2, constraints=((0.0, 1),))
     with pytest.raises(TypeError):
         build_constraints(2.5)
-    with pytest.raises(TypeError):
-        impossibility_report(3.0)
+    # True was a ValueError (N_max=True outside [2, 20]), 3.0 failed in range
+    for bad in (True, 3.0):
+        with pytest.raises(TypeError, match="N_max"):
+            impossibility_report(bad)
 
 
 def test_solver_reads_a_huge_complete_graph_on_demand():
@@ -391,6 +418,63 @@ def test_impossibility_report_rows():
         impossibility_report(1)
     with pytest.raises(ValueError):
         impossibility_report(21)
+
+
+def test_report_rows_are_the_solved_systems():
+    solved = {}
+    for n in range(2, 21):
+        system = build_constraints(n)
+        result = exhaustive_satisfiable(system)
+        if n <= 10:
+            assert result == dfs_two_colouring(n, system.constraints)
+        solved[n] = (n, result.satisfiable, result.count)
+    for n_max in range(2, 21):
+        assert impossibility_report(n_max) == [solved[n] for n in range(2, n_max + 1)]
+
+
+def test_report_neither_builds_nor_solves_a_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report solved a system")
+
+    monkeypatch.setattr(antisym_checker, "build_constraints", refuse)
+    monkeypatch.setattr(antisym_checker, "exhaustive_satisfiable", refuse)
+    for n_max in (2, 3, 20):
+        assert impossibility_report(n_max) == [
+            (n, n == 2, 2 if n == 2 else 0) for n in range(2, n_max + 1)
+        ]
+
+
+def test_report_stops_joining_at_the_first_odd_cycle(monkeypatch):
+    joined = []
+    join = antisym_checker._ParityForest.join
+
+    def counting_join(forest, i, j):
+        joined.append((i, j))
+        return join(forest, i, j)
+
+    monkeypatch.setattr(antisym_checker._ParityForest, "join", counting_join)
+    # particle 1 joins 0; particle 2 joins 0, then closes the triangle at 1
+    for n_max in (3, 4, 20):
+        joined.clear()
+        impossibility_report(n_max)
+        assert joined == [(0, 1), (0, 2), (1, 2)]
+    joined.clear()
+    impossibility_report(2)
+    assert joined == [(0, 1)]
+
+
+def test_parity_forest_grows_a_variable_at_a_time():
+    forest = antisym_checker._ParityForest()
+    assert forest.trees == 0
+    assert [forest.add() for _ in range(4)] == [0, 1, 2, 3]
+    assert forest.trees == 4
+    assert forest.join(0, 1) and forest.join(2, 3) and forest.trees == 2
+    assert forest.join(1, 2) and forest.trees == 1
+    # x = (1, 0, 1, 0) up to a flip: 0 and 2 agree, so an odd cycle
+    assert not forest.join(0, 2)
+    assert forest.trees == 1
+    assert forest.join(0, 3)  # an even cycle adds nothing
+    assert [forest.find(v)[1] ^ forest.find(0)[1] for v in range(4)] == [0, 1, 0, 1]
 
 
 def test_n2_only_pattern_rejects_deviations():
