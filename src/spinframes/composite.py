@@ -6,16 +6,16 @@ exactnum; pseudo_antisymmetry_sign and exclusion_check stay bound here.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
-from .frames import bisector_axis
 from .rotations import UnitQuaternion, half_turn
-from .states import PairState, _require_finite_amplitudes
-from .wigner import CGTable, wigner_D
+from .states import PairState, _require_array, _require_finite_amplitudes
+from .wigner import CGTable, _evaluate, wigner_D
 
 # Dense-matrix desk-scale bounds.
 MAX_OPERATOR_PARTICLES = 5
@@ -66,33 +66,57 @@ def project_composite(
     the relation between the two sides of a back-to-back pair. The sheet
     must be given explicitly in that form; the two choices multiply every
     amplitude by exactly (-1)^(2s_b), so they agree for a fullon slot and
-    differ by a global sign for a halfon slot.
+    differ by a global sign for a halfon slot. Any other route, a bool
+    included, raises TypeError.
 
     The common-frame amplitudes D_a psi D_b^T (psi D_b^T on the sheet
-    route), flattened row by row, meet the pair's cached Clebsch-Gordan
-    matrix in one product. The change of basis is unitary, so the channel
-    weights sum to 1 for a normalized input.
+    route, with the state's stored bisector), flattened row by row, meet
+    the pair's cached Clebsch-Gordan matrix in one product. On the pair
+    route both D matrices come from one pass of the D kernel, or from one
+    evaluation when the spins and the rotations' bits agree. The change of
+    basis is unitary, so the channel weights sum to 1 for a normalized
+    input.
     """
     s_a, s_b = state.desc_a.s, state.desc_b.s
-    if isinstance(route, int):
-        k = bisector_axis(state.desc_a.p, state.desc_b.p)
-        common = state.to_matrix() @ wigner_D(s_b, half_turn(k, route)).entries.T
-    else:
+    if isinstance(route, int) and not isinstance(route, bool):
+        d_b = wigner_D(s_b, half_turn(state.bisector, route)).entries
+        common = state.to_matrix() @ d_b.T
+    elif (
+        isinstance(route, tuple)
+        and len(route) == 2
+        and all(isinstance(r, UnitQuaternion) for r in route)
+    ):
         r_a, r_b = route
-        d_a = wigner_D(s_a, r_a).entries
-        common = d_a @ state.to_matrix() @ wigner_D(s_b, r_b).entries.T
+        if s_a == s_b and _bits(r_a) == _bits(r_b):
+            d_a = d_b = wigner_D(s_a, r_a).entries
+        else:
+            d_a, d_b = _evaluate((s_a, r_a, None), (s_b, r_b, None))
+        common = d_a @ state.to_matrix() @ d_b.T
+    else:
+        raise TypeError(
+            "route must be an int sheet (+1 or -1) or a tuple of two "
+            f"UnitQuaternions, got {route!r}"
+        )
     table = CGTable(s_a, s_b)
     amps = dict(zip(table.channels, (common.reshape(-1) @ table.matrix).tolist()))
     return CompositeProjection(s_a=s_a, s_b=s_b, amplitudes=amps)
 
 
+def _bits(q: UnitQuaternion) -> bytes:
+    """q's components as bytes: equal bits give bit-identical D matrices,
+    where == would also match 0.0 with -0.0."""
+    return struct.pack("<4d", *q.components())
+
+
 def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
     """Project a square amplitude matrix onto the slot-swap eigenspace with
-    eigenvalue (-1)^(2s), normalized: (psi + (-1)^(2s) psi^T) / norm.
+    eigenvalue (-1)^(2s), normalized: (psi + (-1)^(2s) psi^T) / norm. psi
+    must be a numpy array (else TypeError).
 
     For half-integer s this looks like antisymmetrization, for integer s like
     symmetrization; both keep exactly the even-S coupling channels.
     """
+    _require_array(psi, "psi")
     if psi.shape[0] != psi.shape[1] or psi.shape[0] != s.dim:
         raise ValueError(
             f"matrix shape {psi.shape} does not match spin dimension {s.dim}"

@@ -9,7 +9,8 @@ The joint basis label is the UNORDERED pair of single-particle labels, sorted
 by a total order on the labels themselves, never by argument position. On
 that basis, permuting the argument order of a description is literally the
 identity map; all the physics of exchange lives in the descriptions'
-rotations instead. The basis layout is spelled out once, in _joint_keys.
+rotations instead. The basis layout is spelled out once, in _joint_keys,
+which builds it once per content pair.
 Order-dependent conventions, where the second slot's rotation is derived
 from the first's through a half-turn about the momentum bisector, pick up
 (-1)^(2s) phases from the turn-sign law order_dependence_phase (exactnum).
@@ -17,16 +18,18 @@ from the first's through a half-turn about the momentum bisector, pick up
 
 from __future__ import annotations
 
+import cmath
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
-from .wigner import wigner_D
+from .wigner import _evaluate
 
 
 class FrameTag(enum.Enum):
@@ -107,14 +110,21 @@ def _joint_key(label_1: _Label, label_2: _Label) -> _JointKey:
     return (label_1, label_2) if label_1 <= label_2 else (label_2, label_1)
 
 
-def _joint_keys(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> list[_JointKey]:
-    """The pair's joint keys row by row, lambda_a descending then lambda_b
-    descending: the row-major order of its amplitude matrix."""
-    key_a, key_b = desc_a.content_key(), desc_b.content_key()
-    lams_b = m_range(desc_b.s)
-    return [
-        _joint_key((key_a, la), (key_b, lb)) for la in m_range(desc_a.s) for lb in lams_b
-    ]
+@lru_cache(maxsize=16)
+def _joint_keys(key_a: tuple, key_b: tuple) -> tuple[_JointKey, ...]:
+    """The joint keys of the particles with content keys key_a and key_b,
+    row by row, lambda_a descending then lambda_b descending: the row-major
+    order of their amplitude matrix. Built once per content pair; a pair
+    operation touches at most a few content pairs, so a small cache holds
+    them. The tuple is made from a list, not from a generator, whose
+    step-by-step resizing left the process about 1 MB larger after 8000
+    pair operations."""
+    lams_b = m_range(TwiceSpin(key_b[2]))
+    return tuple([
+        _joint_key((key_a, la), (key_b, lb))
+        for la in m_range(TwiceSpin(key_a[2]))
+        for lb in lams_b
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +134,9 @@ class PairState:
     amplitudes maps the unordered joint label to a complex amplitude. The
     descriptor pair is stored in canonical content order, so two descriptions
     of the same physical assignment compare equal structure-by-structure no
-    matter which argument order produced them.
+    matter which argument order produced them. bisector is built from the
+    descriptors on first use and kept; it is not a field, so it stays out
+    of ==, hash and repr.
     """
 
     desc_a: ParticleDescriptor
@@ -136,6 +148,11 @@ class PairState:
             a, b = self.desc_b, self.desc_a
             object.__setattr__(self, "desc_a", a)
             object.__setattr__(self, "desc_b", b)
+
+    @cached_property
+    def bisector(self) -> Vec3:
+        """Unit bisector of the two momenta (frames.bisector_axis)."""
+        return bisector_axis(self.desc_a.p, self.desc_b.p)
 
     def merged_content(self) -> bool:
         """True when both particles carry identical content (Q, p, s)."""
@@ -163,8 +180,16 @@ class PairState:
                 "joint amplitudes of identical-content pairs are stored on a "
                 "merged basis and have no slot-ordered matrix form"
             )
-        keys = _joint_keys(self.desc_a, self.desc_b)
-        out = np.array([self.amplitudes.get(k, 0j) for k in keys], dtype=complex)
+        keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
+        amps = self.amplitudes
+        # the states built here list their amplitudes in basis order, under
+        # the basis's own key objects, so one pass of identity checks
+        # replaces a hashed lookup per key
+        if tuple(amps) == keys:
+            values = list(amps.values())
+        else:
+            values = [amps.get(k, 0j) for k in keys]
+        out = np.array(values, dtype=complex)
         return out.reshape(self.desc_a.s.dim, self.desc_b.s.dim)
 
     def allclose(self, other: PairState, tol: float = EPS) -> bool:
@@ -181,6 +206,9 @@ class PairState:
         )
 
     def scaled(self, c: complex) -> PairState:
+        """Every amplitude times c; a non-finite c raises ValueError."""
+        if not cmath.isfinite(c):
+            raise ValueError(f"scale factor {c!r} is not finite")
         return PairState(
             desc_a=self.desc_a,
             desc_b=self.desc_b,
@@ -196,7 +224,7 @@ class PairState:
         if self.merged_content():
             keys = sorted(self.amplitudes, reverse=True)
         else:
-            keys = _joint_keys(self.desc_a, self.desc_b)
+            keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
         for key in keys:
             (_, l1), (_, l2) = key
             v = self.amplitudes.get(key, 0j)
@@ -239,13 +267,28 @@ def _follow(
 ) -> ParticleDescriptor:
     """The derived-rotation rule: nxt in the slot after prev, with
     R_BS = R_prev * r for the half-turn r relating the two slots."""
-    return replace(nxt, R_BS=compose(prev.R_BS, r))
+    return _with_rotation(nxt, compose(prev.R_BS, r))
+
+
+def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescriptor:
+    """desc with R_BS = r: dataclasses.replace without its per-call field
+    introspection."""
+    return ParticleDescriptor(desc.Q, desc.p, desc.s, desc.m, desc.base, r)
+
+
+def _column(
+    desc: ParticleDescriptor, q: UnitQuaternion
+) -> tuple[TwiceSpin, UnitQuaternion, int]:
+    """The evaluator request for column m of D^s(q), s and m the
+    descriptor's."""
+    return desc.s, q, desc.s.index(desc.m)
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
-    base-frame projections m' (descending): column m of wigner_D(desc.s, q)."""
-    return wigner_D(desc.s, q).entries[:, desc.s.index(desc.m)].copy()
+    base-frame projections m' (descending): column m of wigner_D(desc.s, q),
+    evaluated alone."""
+    return _evaluate(_column(desc, q))[0]
 
 
 def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
@@ -268,16 +311,23 @@ def assemble_pair_canonical_orderfree(
     The rotations are supplied explicitly and independently: a physically
     complete description says how each particle's frame was reached, sign
     included. Identical-content pairs land on merged (unordered) labels and
-    their amplitudes add.
+    their amplitudes add. Both columns come from one pass of the D kernel.
     """
     _require_noncollinear(desc_a, desc_b)
-    col_a = rotate_sqf(desc_a, R_a).tolist()
-    col_b = rotate_sqf(desc_b, R_b).tolist()
+    col_a, col_b = _evaluate(_column(desc_a, R_a), _column(desc_b, R_b))
+    col_a, col_b = col_a.tolist(), col_b.tolist()
     products = [x * y for x in col_a for y in col_b]
     amps: dict[_JointKey, complex] = {}
-    for key, v in zip(_joint_keys(desc_a, desc_b), products):
+    keys = _joint_keys(desc_a.content_key(), desc_b.content_key())
+    for key, v in zip(keys, products):
         amps[key] = amps.get(key, 0j) + v
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
+
+
+def _require_array(matrix: object, what: str) -> None:
+    """TypeError naming what unless matrix is a numpy array."""
+    if not isinstance(matrix, np.ndarray):
+        raise TypeError(f"{what} must be a numpy array, got {type(matrix).__name__}")
 
 
 def _require_finite_amplitudes(matrix: np.ndarray) -> None:
@@ -297,6 +347,7 @@ def pair_state_from_matrix(
     For building superpositions directly; contents must be distinct so the
     matrix rows/columns attach unambiguously to the two particles.
     """
+    _require_array(matrix, "matrix")
     if desc_a.content_key() == desc_b.content_key():
         raise ValueError(
             "identical particle content: a slot-ordered matrix does not "
@@ -310,7 +361,7 @@ def pair_state_from_matrix(
     _require_finite_amplitudes(matrix)
     _require_noncollinear(desc_a, desc_b)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
-    amps = dict(zip(_joint_keys(desc_a, desc_b), values))
+    amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
 
 
@@ -355,15 +406,14 @@ def exchange_order_dependent(
     d1, d2 = ordered.slots
     r21 = ordered.half_turns[0]
     if case is ExchangeCase.FIRST:
-        new_first_rotation = d2.R_BS  # equals compose(d1.R_BS, r21)
+        first = d2  # keeps its rotation, compose(d1.R_BS, r21)
         turns = [1, 0]
     elif case is ExchangeCase.SECOND:
-        new_first_rotation = compose(d1.R_BS, inverse(r21))
+        first = _with_rotation(d2, compose(d1.R_BS, inverse(r21)))
         turns = [0, 1]
     else:
         raise ValueError(f"unknown exchange case {case!r}")
     # the exchanged pair has the same bisector, so its half-turn is r21
-    first = replace(d2, R_BS=new_first_rotation)
     second = _follow(first, d1, r21)
     state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)
     return state, order_dependence_phase(turns, [d1.s, d2.s])

@@ -13,10 +13,23 @@ Every entry is a homogeneous polynomial of degree 2s in (a, conj(a), b,
                * a^(s+m-i) * conj(a)^(s-m'-i) * b^(m'-m+i) * (-conj(b))^i.
 
 The coefficients and exponents depend on 2s alone, so they are built once per
-2s as a flat plan of monomial terms (built on first use, then cached). A call
-only fills a table of the powers 0..2s of the four Cayley-Klein factors by
-repeated products, multiplies each term's coefficient by its four powers, and
-sums the terms into their matrix entries.
+2s as a flat plan of monomial terms (built on first use, then cached). A
+column plan is the slice of that plan whose terms land in one column; there
+are at most 91 (one per column of each 2s <= 12), each built on first use. One
+evaluator serves every caller: it takes several (2s, q, column or whole
+matrix) requests, joins their plans for that call, fills one table of the
+powers 0..2s of each request's four Cayley-Klein factors by repeated
+products, multiplies each term's coefficient by its four powers, and sums the
+terms into their entries, all in one numpy pass. wigner_D is one whole-matrix
+request; pair assembly asks for both particles' columns at once.
+
+The bits of every entry are fixed by the arithmetic's order, not only by its
+values. numpy's complex multiply can round differently from Python's scalar
+one, and from itself with the operands swapped, so each term stays coef *
+a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied as numpy arrays in that
+operand order; each entry sums its own terms in plan order; and the powers
+stay Python repeated products. A request therefore gives the same bits alone
+or joined to others, and a pure-Python or reordered kernel would not.
 
 The double-cover sign stays structural: negating q negates each factor
 exactly, a power built by repeated products picks up exactly (-1)^k, and each
@@ -41,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +92,9 @@ class _Plan(NamedTuple):
     # float slots of the term's entry in the flat complex matrix: real part
     # at 2 * (row * dim + col), imaginary part one after, interleaved per term
     slots: np.ndarray
-    coef: np.ndarray  # sqrt(f_row * f_col) / den
+    # sqrt(f_row * f_col) / den, stored as complex: the value a float
+    # coefficient is cast to in each product, without the cast per call
+    coef: np.ndarray
     # exponents of a, conj(a), b and -conj(b), one row each, offset into the
     # flat power table of all four factors
     powers: np.ndarray
@@ -115,12 +130,89 @@ def _plan(ts: int) -> _Plan:
                 powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
     plan = _Plan(
         slots=np.array(slots, dtype=np.intp),
-        coef=np.array(coef, dtype=float),
+        coef=np.array(coef, dtype=complex),
         powers=np.array(powers, dtype=np.intp).T.copy(),
     )
     for arr in plan:
         arr.flags.writeable = False
     return plan
+
+
+@cache
+def _column_plan(ts: int, col: int) -> _Plan:
+    """The terms of _plan(ts) that land in column col, in plan order, each
+    slot moved to its entry's row of a (2s+1)-vector: at most 91 of these
+    for 2s <= 12, built on first use."""
+    plan = _plan(ts)
+    dim = ts + 1
+    flat = plan.slots[::2] // 2
+    keep = np.flatnonzero(flat % dim == col)
+    rows = flat[keep] // dim
+    column = _Plan(
+        slots=np.stack((2 * rows, 2 * rows + 1), axis=1).reshape(-1),
+        coef=plan.coef[keep],
+        powers=plan.powers[:, keep].copy(),
+    )
+    for arr in column:
+        arr.flags.writeable = False
+    return column
+
+
+# One evaluation request (s, q, col): the whole of D^s(q) when col is None,
+# else its column at index col, as a (2s+1)-vector.
+_Request = tuple[TwiceSpin, UnitQuaternion, int | None]
+
+
+def _evaluate(*requests: _Request) -> list[np.ndarray]:
+    """Every request's D entries from one numpy pass over all their terms.
+
+    The requests' plans are joined per call, each shifted into its own span
+    of one power table and one output buffer. Every term is still coef *
+    a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied in that operand order,
+    and every entry sums its own terms in plan order, so each result equals,
+    bit for bit, the same request evaluated alone.
+    """
+    pw: list[complex] = []
+    # per request: its plan, its output shape, and where its powers and its
+    # output entries start in the joined power table and output buffer
+    parts: list[tuple[_Plan, tuple[int, ...], int, int]] = []
+    n_out = 0
+    for s, q, col in requests:
+        _require_supported(s)
+        ts = s.twice
+        dim = ts + 1
+        if col is None:
+            parts.append((_plan(ts), (dim, dim), len(pw), n_out))
+            n_out += dim * dim
+        else:
+            parts.append((_column_plan(ts, col), (dim,), len(pw), n_out))
+            n_out += dim
+        a, b = _cayley_klein(q)
+        # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
+        for x in (a, a.conjugate(), b, -b.conjugate()):
+            p = 1.0 + 0.0j
+            pw.append(p)
+            for _ in range(ts):
+                p *= x
+                pw.append(p)
+    if len(parts) == 1:
+        slots, coef, powers = parts[0][0]
+    else:
+        # the first request needs no shift
+        slots = np.concatenate(
+            [p.slots + 2 * at if at else p.slots for p, _, _, at in parts]
+        )
+        coef = np.concatenate([p.coef for p, _, _, _ in parts])
+        powers = np.concatenate(
+            [p.powers + at if at else p.powers for p, _, at, _ in parts], axis=1
+        )
+    factors = np.array(pw, dtype=complex)[powers]
+    terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
+    out = np.bincount(slots, weights=terms.view(float), minlength=2 * n_out)
+    out = out.view(complex)
+    if len(parts) == 1:
+        return [out.reshape(parts[0][1])]
+    return [out[at : at + prod(shape)].reshape(shape) for _, shape, _, at in parts]
 
 
 def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
@@ -133,23 +225,7 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
     coefficients and exponents are built once per 2s; every call returns a
     fresh array.
     """
-    _require_supported(s)
-    ts = s.twice
-    dim = s.dim
-    plan = _plan(ts)
-    a, b = _cayley_klein(q)
-    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
-    pw = []
-    for x in (a, a.conjugate(), b, -b.conjugate()):
-        p = 1.0 + 0.0j
-        pw.append(p)
-        for _ in range(ts):
-            p *= x
-            pw.append(p)
-    factors = np.array(pw)[plan.powers]
-    terms = plan.coef * factors[0] * factors[1] * factors[2] * factors[3]
-    out = np.bincount(plan.slots, weights=terms.view(float), minlength=2 * dim * dim)
-    return WignerMatrix(s=s, q=q, entries=out.view(complex).reshape(dim, dim))
+    return WignerMatrix(s=s, q=q, entries=_evaluate((s, q, None))[0])
 
 
 def _racah(ts1: int, ts2: int, tS: int, tm1: int, tm2: int) -> float:

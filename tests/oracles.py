@@ -4,7 +4,9 @@ Nothing here imports the package. Each oracle reaches its quantity along a
 different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
-coefficients, no array evaluation), Clebsch-Gordan coefficients from
+coefficients, no array evaluation) and, for bit-for-bit comparisons, from
+the single-request plan kernel the package used before it evaluated several
+requests in one pass, Clebsch-Gordan coefficients from
 ladder-operator construction on the product space, composite-basis
 amplitudes by summing coefficient times amplitude entry by entry (no
 change-of-basis matrix), rotation matrices from the Rodrigues formula,
@@ -16,6 +18,8 @@ searching every subfamily.
 from __future__ import annotations
 
 import math
+from functools import cache
+from math import sqrt
 
 import numpy as np
 
@@ -74,6 +78,64 @@ def cayley_klein_D(tj: int, w: float, x: float, y: float, z: float) -> np.ndarra
                 den = f(e_a) * f(k) * f(e_b) * f(e_ac)
                 out[row, col] += pref / den * a**e_a * ac**e_ac * b**e_b * nbc**k
     return out
+
+
+@cache
+def _kernel_plan(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slots, coef, powers) of D^s's monomial terms, row by row, column by
+    column, i ascending: float slots of each term's entry in the flat complex
+    matrix, coefficients as floats, and the exponents of a, conj(a), b and
+    -conj(b) offset into one power table."""
+    order = range(ts, -ts - 1, -2)
+    dim = ts + 1
+    f = math.factorial
+    slots: list[int] = []
+    coef: list[float] = []
+    powers: list[tuple[int, int, int, int]] = []
+    for row, tmp in enumerate(order):
+        f_row = f((ts + tmp) // 2) * f((ts - tmp) // 2)
+        for col, tm in enumerate(order):
+            f_col = f((ts + tm) // 2) * f((ts - tm) // 2)
+            pref = sqrt(f_row * f_col)
+            lo = max(0, (tm - tmp) // 2)
+            hi = min((ts + tm) // 2, (ts - tmp) // 2)
+            for i in range(lo, hi + 1):
+                e_a = (ts + tm) // 2 - i
+                e_ac = (ts - tmp) // 2 - i
+                e_b = (tmp - tm) // 2 + i
+                den = f(e_a) * f(i) * f(e_b) * f(e_ac)
+                flat = row * dim + col
+                slots.extend((2 * flat, 2 * flat + 1))
+                coef.append(pref / den)
+                powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
+    return (
+        np.array(slots, dtype=np.intp),
+        np.array(coef, dtype=float),
+        np.array(powers, dtype=np.intp).T.copy(),
+    )
+
+
+def plan_kernel_D(tj: int, w: float, x: float, y: float, z: float) -> np.ndarray:
+    """D^j of the unit quaternion (w, x, y, z) by one request's plan: the
+    powers by repeated Python products, every term coef * a^i * conj(a)^j *
+    b^k * (-conj(b))^l as numpy arrays in that operand order, and each entry
+    summed by bincount in plan order. numpy's complex multiply can round
+    differently from Python's, and from itself with the operands swapped, so
+    this fixes the exact bits the package's D matrices must reproduce."""
+    slots, coef, powers = _kernel_plan(tj)
+    dim = tj + 1
+    a, b = complex(w, -z), complex(-y, -x)
+    pw = []
+    for v in (a, a.conjugate(), b, -b.conjugate()):
+        p = 1.0 + 0.0j
+        pw.append(p)
+        for _ in range(tj):
+            p *= v
+            pw.append(p)
+    factors = np.array(pw)[powers]
+    terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
+    out = np.bincount(slots, weights=terms.view(float), minlength=2 * dim * dim)
+    return out.view(complex).reshape(dim, dim)
 
 
 def ladder_cg_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float]:

@@ -32,7 +32,8 @@ from spinframes import (
     pseudo_antisymmetry_sign,
     wigner_D,
 )
-from oracles import max_pairwise_commuting, project_composite_loop
+from spinframes import composite
+from oracles import max_pairwise_commuting, plan_kernel_D, project_composite_loop
 from util import figure_pair, rand_quaternion
 
 HALF = TwiceSpin(1)
@@ -267,6 +268,101 @@ def test_projection_matches_loop_oracle_property():
         assert_matches_loop(pair_state_from_matrix(da, db, mat), route)
 
     check()
+
+
+def kernel_projection(state, route):
+    """The projection with both D matrices from the single-request plan
+    kernel, and the package's coupling table, as raw float bits."""
+    s_a, s_b = state.desc_a.s, state.desc_b.s
+    if isinstance(route, int):
+        q_b = half_turn(bisector_axis(state.desc_a.p, state.desc_b.p), route)
+        common = state.to_matrix() @ plan_kernel_D(s_b.twice, *q_b.components()).T
+    else:
+        d_a = plan_kernel_D(s_a.twice, *route[0].components())
+        d_b = plan_kernel_D(s_b.twice, *route[1].components())
+        common = d_a @ state.to_matrix() @ d_b.T
+    return (common.reshape(-1) @ CGTable(s_a, s_b).matrix).tobytes()
+
+
+def test_projection_bit_equal_to_the_plan_kernel():
+    rng = random.Random(59)
+    for ts_a in range(7):
+        for ts_b in range(7):
+            da, db = slot_pair(ts_a, ts_b)
+            mat = rand_matrix(rng, da.s.dim, db.s.dim)
+            state = pair_state_from_matrix(da, db, mat / np.linalg.norm(mat))
+            r, r2 = rand_quaternion(rng), rand_quaternion(rng)
+            routes = [1, -1, (r, r2), (IDENTITY, half_turn(Vec3(0.0, 0.0, 1.0), -1))]
+            if ts_a == ts_b:
+                # one evaluation serves both slots
+                routes += [(r, r), (IDENTITY, IDENTITY)]
+                routes.append((r, UnitQuaternion(*r.components())))
+            for route in routes:
+                proj = project_composite(state, route)
+                got = np.array(list(proj.amplitudes.values()), dtype=complex)
+                assert got.tobytes() == kernel_projection(state, route), (ts_a, ts_b, route)
+
+
+def test_pair_route_evaluates_once_when_spins_and_rotation_bits_agree(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(composite, name, wrapped)
+
+    counting("wigner_D", composite.wigner_D)
+    counting("_evaluate", composite._evaluate)
+    r = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+    # == matches 0.0 with -0.0, the bits do not
+    signed = UnitQuaternion(1.0, -0.0, 0.0, 0.0)
+    assert signed == r
+    rng = random.Random(60)
+    for (ts_a, ts_b), route, want in (
+        ((2, 2), (r, r), {"wigner_D": 1}),
+        ((2, 2), (r, UnitQuaternion(1.0, 0.0, 0.0, 0.0)), {"wigner_D": 1}),
+        ((2, 2), (r, signed), {"_evaluate": 1}),
+        ((2, 3), (r, r), {"_evaluate": 1}),
+        ((2, 2), 1, {"wigner_D": 1}),
+    ):
+        counts.clear()
+        da, db = slot_pair(ts_a, ts_b)
+        state = pair_state_from_matrix(da, db, rand_matrix(rng, da.s.dim, db.s.dim))
+        proj = project_composite(state, route)
+        assert counts == want
+        got = np.array(list(proj.amplitudes.values()), dtype=complex)
+        assert got.tobytes() == kernel_projection(state, route)
+
+
+def test_sheet_route_reads_the_stored_bisector(monkeypatch):
+    da, db = slot_pair(1, 2)
+    state = pair_state_from_matrix(da, db, np.ones((2, 3), dtype=complex))
+    calls = []
+    monkeypatch.setattr(
+        "spinframes.states.bisector_axis",
+        lambda p, q: calls.append(1) or bisector_axis(p, q),
+    )
+    for sheet in (1, -1, 1):
+        project_composite(state, sheet)
+    assert calls == [1]
+
+
+def test_route_must_be_a_sheet_or_two_quaternions():
+    da, db = slot_pair(1, 1)
+    state = pair_state_from_matrix(da, db, np.eye(2, dtype=complex) / math.sqrt(2.0))
+    for bad in (
+        (1, 1), 1.0, True, None, "1", (IDENTITY,), (IDENTITY, IDENTITY, IDENTITY),
+        [IDENTITY, IDENTITY], (IDENTITY, 1), (1.0, 0.0, 0.0, 0.0),
+    ):
+        with pytest.raises(TypeError, match="route must be an int sheet"):
+            project_composite(state, bad)
+
+
+def test_pseudo_antisymmetrize_requires_an_array():
+    for bad in ([[1, 0], [0, 1]], ((1, 0), (0, 1)), [[math.nan, 0], [0, 1]], 2.0):
+        with pytest.raises(TypeError, match="psi must be a numpy array"):
+            pseudo_antisymmetrize(bad, HALF)
 
 
 def test_projections_do_not_share_amplitudes():

@@ -2,6 +2,7 @@
 basis, and the exchange phases of order-dependent descriptions."""
 
 import dataclasses
+import functools
 import math
 import random
 import struct
@@ -9,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import little_d
+from oracles import little_d, plan_kernel_D
 from spinframes import (
     EPS,
     IDENTITY,
@@ -38,6 +39,7 @@ from spinframes import (
     quaternion_close,
     rotate_sqf,
 )
+from spinframes import states
 from util import (
     figure_pair,
     rand_descriptor,
@@ -416,6 +418,38 @@ def test_assembly_bit_equal_to_per_entry_products():
             assert math.copysign(1.0, got.imag) == math.copysign(1.0, v.imag)
 
 
+def test_assembly_bit_equal_to_the_plan_kernel():
+    # both columns come from one pass; each must carry the single-request
+    # kernel's bits, signed zeros included, into the per-entry products
+    rng = random.Random(58)
+    for trial in range(200):
+        merged = trial % 4 == 0
+        ts_a = rng.randint(0, 12)
+        ts_b = ts_a if merged else rng.randint(0, 12)
+        p_a = rand_unit_vec(rng)
+        p_b = p_a if merged else rand_unit_vec(rng)
+        da = make_desc("u", p_a, ts_a, rng.choice(range(-ts_a, ts_a + 1, 2)))
+        db = make_desc(
+            "u" if merged else rng.choice("dz"), p_b, ts_b,
+            rng.choice(range(-ts_b, ts_b + 1, 2)),
+        )
+        ra, rb = rng.choice(
+            [
+                (rand_quaternion(rng), rand_quaternion(rng)),
+                (half_turn(ZHAT, 1), half_turn(ZHAT, -1)),
+                (from_axis_angle(YHAT, math.pi / 2.0), IDENTITY),
+            ]
+        )
+        col_a = plan_kernel_D(ts_a, *ra.components())[:, da.s.index(da.m)]
+        col_b = plan_kernel_D(ts_b, *rb.components())[:, db.s.index(db.m)]
+        want = per_entry_amplitudes(da, db, col_a, col_b)
+        state = assemble_pair_canonical_orderfree(da, db, ra, rb)
+        assert list(state.amplitudes) == list(want)
+        got = np.array(list(state.amplitudes.values()), dtype=complex)
+        assert got.tobytes() == np.array(list(want.values()), dtype=complex).tobytes()
+        assert rotate_sqf(da, ra).tobytes() == np.ascontiguousarray(col_a).tobytes()
+
+
 def test_dump_matches_per_entry_rendering():
     rng = random.Random(54)
     for trial in range(60):
@@ -460,6 +494,101 @@ def test_dump_lists_absent_distinct_labels_as_zero():
     assert len(sparse.amplitudes) == 5
     assert sparse.dump() == full.dump()
     assert np.array_equal(sparse.to_matrix(), full.to_matrix())
+
+
+def test_joint_basis_is_built_once_per_content_pair(monkeypatch):
+    calls = []
+    build = states._joint_keys.__wrapped__
+
+    @functools.lru_cache(maxsize=16)
+    def counted(key_a, key_b):
+        calls.append((key_a, key_b))
+        return build(key_a, key_b)
+
+    monkeypatch.setattr(states, "_joint_keys", counted)
+    p_a, p_b = figure_pair(0.7)
+    da, db = make_desc("a", p_a, 3, 1), make_desc("b", p_b, 2, 0)
+    state = assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+    state.to_matrix()
+    state.dump()
+    pair_state_from_matrix(da, db, state.to_matrix())
+    assert calls == [(da.content_key(), db.content_key())]
+    keys = counted(da.content_key(), db.content_key())
+    assert type(keys) is tuple and len(keys) == 12
+    assert list(keys) == list(per_entry_amplitudes(da, db, [1] * 4, [1] * 3))
+
+
+def test_to_matrix_reads_any_amplitude_dict():
+    # assembled and matrix-built states list their amplitudes in basis order;
+    # a dict in another order, with a label missing, or keyed by equal but
+    # distinct tuples reads the same matrix key by key
+    rng = random.Random(61)
+    p_a, p_b = figure_pair(0.8)
+    da, db = make_desc("a", p_a, 3, 1), make_desc("b", p_b, 2, 0)
+    mat = rand_matrix_like(rng, 4, 3)
+    state = pair_state_from_matrix(da, db, mat)
+    keys = list(state.amplitudes)
+    variants = {
+        "reversed": {k: state.amplitudes[k] for k in reversed(keys)},
+        "missing": {k: v for k, v in state.amplitudes.items() if k != keys[5]},
+        "copied keys": {
+            ((k1[0], k1[1]), (k2[0], k2[1])): v for (k1, k2), v in state.amplitudes.items()
+        },
+    }
+    want_missing = mat.copy()
+    want_missing[5 // 3, 5 % 3] = 0.0
+    for name, amps in variants.items():
+        got = PairState(desc_a=da, desc_b=db, amplitudes=amps).to_matrix()
+        want = want_missing if name == "missing" else mat
+        assert got.tobytes() == want.tobytes(), name
+    assert state.to_matrix().tobytes() == mat.tobytes()
+    state.amplitudes[keys[0]] = 7.0
+    assert state.to_matrix()[0, 0] == 7.0
+
+
+def test_pair_state_builds_its_bisector_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        states, "bisector_axis", lambda p, q: calls.append((p, q)) or bisector_axis(p, q)
+    )
+    p_a, p_b = figure_pair(0.4)
+    da, db = make_desc("b", p_a, 1, 1), make_desc("a", p_b, 2, 0)
+    state = assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+    twin = assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+    before = repr(state)
+    assert calls == []  # built on first use, not on construction
+    assert state.bisector is state.bisector
+    # from the stored (canonical) descriptor order
+    assert calls == [(p_b, p_a)]
+    assert state.bisector == bisector_axis(p_b, p_a)
+    assert repr(state) == before
+    assert state != twin and hash(state) != hash(twin)  # identity, as before
+    # derived from the descriptors, never from the mutable amplitudes
+    state.amplitudes.clear()
+    assert state.bisector == twin.bisector
+
+
+def test_scaled_rejects_a_non_finite_factor():
+    p_a, p_b = figure_pair(0.3)
+    state = assemble_pair_canonical_orderfree(
+        make_desc("u", p_a, 1, 1), make_desc("d", p_b, 2, 0), IDENTITY, IDENTITY
+    )
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1)):
+        with pytest.raises(ValueError, match="scale factor .* is not finite"):
+            state.scaled(bad)
+    assert state.scaled(2).norm() == 2.0 * state.norm()
+    assert state.scaled(1j).allclose(state.scaled(-1j).scaled(-1.0))
+
+
+def test_pair_state_from_matrix_requires_an_array():
+    p_a, p_b = figure_pair(0.3)
+    da, db = make_desc("a", p_a, 2, 0), make_desc("b", p_b, 1, 1)
+    # type before shape, before finiteness, before the content check
+    for bad in ([[1, 2, 3], [4, 5, 6]], ((1, 0),) * 3, [[math.nan] * 2] * 3, 1.0):
+        with pytest.raises(TypeError, match="matrix must be a numpy array"):
+            pair_state_from_matrix(da, db, bad)
+        with pytest.raises(TypeError, match="matrix must be a numpy array"):
+            pair_state_from_matrix(da, da, bad)
 
 
 def test_ordered_description_derives_later_rotations():
@@ -566,6 +695,9 @@ def test_exchange_reuses_the_stored_half_turn():
             want = assemble_ordered(rebuilt)
             state, phase = exchange_order_dependent(od, case)
             assert (state.desc_a, state.desc_b) == (want.desc_a, want.desc_b)
+            if case is ExchangeCase.FIRST:
+                # d2 already holds the kept rotation; it is not rebuilt
+                assert any(d is d2 for d in (state.desc_a, state.desc_b))
             assert state.amplitudes == want.amplitudes
             assert phase == order_dependence_phase(turns, [d1.s, d2.s])
 

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import cayley_klein_D, ladder_cg_table, little_d
+from oracles import cayley_klein_D, ladder_cg_table, little_d, plan_kernel_D
 from spinframes import (
     EPS,
     IDENTITY,
@@ -24,11 +24,13 @@ from spinframes import (
     compose,
     exchange_symmetry_sign,
     from_axis_angle,
+    half_turn,
     m_range,
     total_spins,
     wigner_D,
 )
-from util import rand_quaternion
+from spinframes.wigner import _evaluate
+from util import rand_quaternion, rand_unit_vec
 
 YHAT = Vec3(0.0, 1.0, 0.0)
 ZHAT = Vec3(0.0, 0.0, 1.0)
@@ -82,6 +84,51 @@ def test_matches_per_entry_loop_oracle():
             q = rand_quaternion(rng)
             want = cayley_klein_D(ts, *q.components())
             assert np.abs(wigner_D(s, q).entries - want).max() < EPS
+
+
+def kernel_test_rotations(rng):
+    """Random rotations, rotations by 0, pi/2, pi and 2 pi about each axis,
+    and both sheets of the half-turn about each axis and a random one."""
+    axes = [Vec3(1.0, 0.0, 0.0), YHAT, ZHAT]
+    qs = [rand_quaternion(rng) for _ in range(6)]
+    qs += [
+        from_axis_angle(k, angle)
+        for k in axes
+        for angle in (0.0, math.pi / 2.0, math.pi, 2.0 * math.pi)
+    ]
+    qs += [half_turn(k, sheet) for k in axes + [rand_unit_vec(rng)] for sheet in (1, -1)]
+    return qs
+
+
+def test_evaluator_is_bit_equal_to_the_plan_kernel():
+    # tobytes, so that signed zeros count: a request gives the bits of the
+    # single-request kernel whether it is evaluated alone or joined to others
+    rng = random.Random(25)
+    for ts in range(MAX_TWICE_SPIN + 1):
+        s = TwiceSpin(ts)
+        for q in kernel_test_rotations(rng):
+            want = plan_kernel_D(ts, *q.components())
+            cols = [np.ascontiguousarray(want[:, c]).tobytes() for c in range(s.dim)]
+            assert wigner_D(s, q).entries.tobytes() == want.tobytes()
+            (alone,) = _evaluate((s, q, None))
+            assert alone.tobytes() == want.tobytes()
+            other = TwiceSpin(rng.randint(0, MAX_TWICE_SPIN))
+            joined = _evaluate(
+                (other, rand_quaternion(rng), rng.randrange(other.dim)),
+                *((s, q, c) for c in range(s.dim)),
+                (s, q, None),
+            )
+            assert [c.tobytes() for c in joined[1:-1]] == cols
+            assert joined[-1].tobytes() == want.tobytes()
+            c = rng.randrange(s.dim)
+            (column,) = _evaluate((s, q, c))
+            assert column.shape == (s.dim,) and column.tobytes() == cols[c]
+
+
+def test_evaluator_checks_every_spin():
+    s, big = TwiceSpin(1), TwiceSpin(MAX_TWICE_SPIN + 1)
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        _evaluate((s, IDENTITY, 0), (big, IDENTITY, 0))
 
 
 def test_double_cover_sign_random():
