@@ -15,7 +15,7 @@ from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
 from .states import PairState, _require_array, _require_finite_amplitudes
-from .wigner import CGTable, _evaluate, wigner_D
+from .wigner import CGTable, wigner_D
 
 # Dense-matrix desk-scale bounds.
 MAX_OPERATOR_PARTICLES = 5
@@ -55,46 +55,46 @@ class CompositeProjection:
 
 def project_composite(
     state: PairState,
-    route: int | tuple[UnitQuaternion, UnitQuaternion],
+    route: int | tuple[UnitQuaternion, UnitQuaternion] | list[UnitQuaternion],
 ) -> CompositeProjection:
     """Couple the pair's spins after bringing both to one common frame.
 
     route says how the common frame is reached. Either a pair (R_a, R_b) of
-    rotations applied to the two label slots directly, or an integer sheet
-    (+1 or -1): then slot a stays put and slot b turns by the exact
-    half-turn about the momentum bisector on that sheet (rotations.half_turn),
-    the relation between the two sides of a back-to-back pair. The sheet
-    must be given explicitly in that form; the two choices multiply every
-    amplitude by exactly (-1)^(2s_b), so they agree for a fullon slot and
-    differ by a global sign for a halfon slot. Any other route, a bool
-    included, raises TypeError.
+    rotations, given as a tuple or a list, applied to the two label slots
+    directly, or an integer sheet (+1 or -1): then slot a stays put and
+    slot b turns by the exact half-turn about the momentum bisector on that
+    sheet (rotations.half_turn), the relation between the two sides of a
+    back-to-back pair. The sheet must be given explicitly in that form; the
+    two choices multiply every amplitude by exactly (-1)^(2s_b), so they
+    agree for a fullon slot and differ by a global sign for a halfon slot.
+    Any other route, a bool included, raises TypeError.
 
     The common-frame amplitudes D_a psi D_b^T (psi D_b^T on the sheet
     route, with the state's stored bisector), flattened row by row, meet
     the pair's cached Clebsch-Gordan matrix in one product. On the pair
-    route both D matrices come from one pass of the D kernel, or from one
-    evaluation when the spins and the rotations' bits agree. The change of
-    basis is unitary, so the channel weights sum to 1 for a normalized
-    input.
+    route one D matrix serves both slots when the spins and the rotations'
+    bits agree. The change of basis is unitary, so the channel weights sum
+    to 1 for a normalized input.
     """
     s_a, s_b = state.desc_a.s, state.desc_b.s
     if isinstance(route, int) and not isinstance(route, bool):
         d_b = wigner_D(s_b, half_turn(state.bisector, route)).entries
         common = state.to_matrix() @ d_b.T
     elif (
-        isinstance(route, tuple)
+        isinstance(route, (tuple, list))
         and len(route) == 2
         and all(isinstance(r, UnitQuaternion) for r in route)
     ):
         r_a, r_b = route
+        d_a = wigner_D(s_a, r_a).entries
         if s_a == s_b and _bits(r_a) == _bits(r_b):
-            d_a = d_b = wigner_D(s_a, r_a).entries
+            d_b = d_a
         else:
-            d_a, d_b = _evaluate((s_a, r_a, None), (s_b, r_b, None))
+            d_b = wigner_D(s_b, r_b).entries
         common = d_a @ state.to_matrix() @ d_b.T
     else:
         raise TypeError(
-            "route must be an int sheet (+1 or -1) or a tuple of two "
+            "route must be an int sheet (+1 or -1) or a tuple or list of two "
             f"UnitQuaternions, got {route!r}"
         )
     table = CGTable(s_a, s_b)

@@ -18,7 +18,6 @@ from the first's through a half-turn about the momentum bisector, pick up
 
 from __future__ import annotations
 
-import cmath
 import enum
 import struct
 from dataclasses import dataclass, field
@@ -64,8 +63,8 @@ class ParticleDescriptor:
     m: int
     base: FrameTag
     R_BS: UnitQuaternion
-    # Both keys are built once, on construction (dataclasses.replace builds
-    # anew); they stay out of __init__, ==, hash and repr.
+    # Both keys are built once, by the constructor; they stay out of
+    # __init__, ==, hash and repr.
     _content_key: tuple = field(init=False, repr=False, compare=False)
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
@@ -207,7 +206,7 @@ class PairState:
 
     def scaled(self, c: complex) -> PairState:
         """Every amplitude times c; a non-finite c raises ValueError."""
-        if not cmath.isfinite(c):
+        if not np.isfinite(c):
             raise ValueError(f"scale factor {c!r} is not finite")
         return PairState(
             desc_a=self.desc_a,
@@ -273,22 +272,16 @@ def _follow(
 def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescriptor:
     """desc with R_BS = r: dataclasses.replace without its per-call field
     introspection."""
-    return ParticleDescriptor(desc.Q, desc.p, desc.s, desc.m, desc.base, r)
-
-
-def _column(
-    desc: ParticleDescriptor, q: UnitQuaternion
-) -> tuple[TwiceSpin, UnitQuaternion, int]:
-    """The evaluator request for column m of D^s(q), s and m the
-    descriptor's."""
-    return desc.s, q, desc.s.index(desc.m)
+    return ParticleDescriptor(
+        Q=desc.Q, p=desc.p, s=desc.s, m=desc.m, base=desc.base, R_BS=r
+    )
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
     base-frame projections m' (descending): column m of wigner_D(desc.s, q),
-    evaluated alone."""
-    return _evaluate(_column(desc, q))[0]
+    evaluated from its column plan alone."""
+    return _evaluate(desc.s, q, desc.s.index(desc.m))
 
 
 def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
@@ -311,11 +304,12 @@ def assemble_pair_canonical_orderfree(
     The rotations are supplied explicitly and independently: a physically
     complete description says how each particle's frame was reached, sign
     included. Identical-content pairs land on merged (unordered) labels and
-    their amplitudes add. Both columns come from one pass of the D kernel.
+    their amplitudes add. Each particle's column is evaluated alone, never
+    a whole D matrix.
     """
     _require_noncollinear(desc_a, desc_b)
-    col_a, col_b = _evaluate(_column(desc_a, R_a), _column(desc_b, R_b))
-    col_a, col_b = col_a.tolist(), col_b.tolist()
+    col_a = rotate_sqf(desc_a, R_a).tolist()
+    col_b = rotate_sqf(desc_b, R_b).tolist()
     products = [x * y for x in col_a for y in col_b]
     amps: dict[_JointKey, complex] = {}
     keys = _joint_keys(desc_a.content_key(), desc_b.content_key())

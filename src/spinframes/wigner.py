@@ -15,21 +15,21 @@ Every entry is a homogeneous polynomial of degree 2s in (a, conj(a), b,
 The coefficients and exponents depend on 2s alone, so they are built once per
 2s as a flat plan of monomial terms (built on first use, then cached). A
 column plan is the slice of that plan whose terms land in one column; there
-are at most 91 (one per column of each 2s <= 12), each built on first use. One
-evaluator serves every caller: it takes several (2s, q, column or whole
-matrix) requests, joins their plans for that call, fills one table of the
-powers 0..2s of each request's four Cayley-Klein factors by repeated
-products, multiplies each term's coefficient by its four powers, and sums the
-terms into their entries, all in one numpy pass. wigner_D is one whole-matrix
-request; pair assembly asks for both particles' columns at once.
+are at most 91 (one per column of each 2s <= 12), each built on first use.
+One evaluator serves every caller: for one (2s, q) and either the whole
+matrix or one column, it fills a table of the powers 0..2s of the four
+Cayley-Klein factors by repeated products, multiplies each term's
+coefficient by its four powers, and sums the terms into their entries, in
+one numpy pass. wigner_D asks for the whole matrix; pair assembly asks for
+each particle's column, so it never builds a full matrix to read one.
 
 The bits of every entry are fixed by the arithmetic's order, not only by its
 values. numpy's complex multiply can round differently from Python's scalar
 one, and from itself with the operands swapped, so each term stays coef *
 a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied as numpy arrays in that
 operand order; each entry sums its own terms in plan order; and the powers
-stay Python repeated products. A request therefore gives the same bits alone
-or joined to others, and a pure-Python or reordered kernel would not.
+stay Python repeated products. A column therefore has the same bits as that
+column of the whole matrix, and a pure-Python or reordered kernel would not.
 
 The double-cover sign stays structural: negating q negates each factor
 exactly, a power built by repeated products picks up exactly (-1)^k, and each
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod, sqrt
+from math import factorial, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -158,61 +158,38 @@ def _column_plan(ts: int, col: int) -> _Plan:
     return column
 
 
-# One evaluation request (s, q, col): the whole of D^s(q) when col is None,
-# else its column at index col, as a (2s+1)-vector.
-_Request = tuple[TwiceSpin, UnitQuaternion, int | None]
+def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.ndarray:
+    """D^s(q) from one numpy pass over its plan: the whole matrix when col
+    is None, else its column at index col as a (2s+1)-vector.
 
-
-def _evaluate(*requests: _Request) -> list[np.ndarray]:
-    """Every request's D entries from one numpy pass over all their terms.
-
-    The requests' plans are joined per call, each shifted into its own span
-    of one power table and one output buffer. Every term is still coef *
-    a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied in that operand order,
-    and every entry sums its own terms in plan order, so each result equals,
-    bit for bit, the same request evaluated alone.
+    Every term is coef * a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied
+    in that operand order, and every entry sums its own terms in plan
+    order, so a column equals, bit for bit, that column of the whole matrix.
     """
-    pw: list[complex] = []
-    # per request: its plan, its output shape, and where its powers and its
-    # output entries start in the joined power table and output buffer
-    parts: list[tuple[_Plan, tuple[int, ...], int, int]] = []
-    n_out = 0
-    for s, q, col in requests:
-        _require_supported(s)
-        ts = s.twice
-        dim = ts + 1
-        if col is None:
-            parts.append((_plan(ts), (dim, dim), len(pw), n_out))
-            n_out += dim * dim
-        else:
-            parts.append((_column_plan(ts, col), (dim,), len(pw), n_out))
-            n_out += dim
-        a, b = _cayley_klein(q)
-        # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
-        for x in (a, a.conjugate(), b, -b.conjugate()):
-            p = 1.0 + 0.0j
-            pw.append(p)
-            for _ in range(ts):
-                p *= x
-                pw.append(p)
-    if len(parts) == 1:
-        slots, coef, powers = parts[0][0]
+    _require_supported(s)
+    ts = s.twice
+    dim = ts + 1
+    if col is None:
+        slots, coef, powers = _plan(ts)
+        shape: tuple[int, ...] = (dim, dim)
+        size = dim * dim
     else:
-        # the first request needs no shift
-        slots = np.concatenate(
-            [p.slots + 2 * at if at else p.slots for p, _, _, at in parts]
-        )
-        coef = np.concatenate([p.coef for p, _, _, _ in parts])
-        powers = np.concatenate(
-            [p.powers + at if at else p.powers for p, _, at, _ in parts], axis=1
-        )
+        slots, coef, powers = _column_plan(ts, col)
+        shape = (dim,)
+        size = dim
+    a, b = _cayley_klein(q)
+    pw: list[complex] = []
+    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
+    for x in (a, a.conjugate(), b, -b.conjugate()):
+        p = 1.0 + 0.0j
+        pw.append(p)
+        for _ in range(ts):
+            p *= x
+            pw.append(p)
     factors = np.array(pw, dtype=complex)[powers]
     terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
-    out = np.bincount(slots, weights=terms.view(float), minlength=2 * n_out)
-    out = out.view(complex)
-    if len(parts) == 1:
-        return [out.reshape(parts[0][1])]
-    return [out[at : at + prod(shape)].reshape(shape) for _, shape, _, at in parts]
+    out = np.bincount(slots, weights=terms.view(float), minlength=2 * size)
+    return out.view(complex).reshape(shape)
 
 
 def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
@@ -225,7 +202,7 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
     coefficients and exponents are built once per 2s; every call returns a
     fresh array.
     """
-    return WignerMatrix(s=s, q=q, entries=_evaluate((s, q, None))[0])
+    return WignerMatrix(s=s, q=q, entries=_evaluate(s, q))
 
 
 def _racah(ts1: int, ts2: int, tS: int, tm1: int, tm2: int) -> float:

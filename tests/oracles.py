@@ -5,8 +5,8 @@ different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
 coefficients, no array evaluation) and, for bit-for-bit comparisons, from
-the single-request plan kernel the package used before it evaluated several
-requests in one pass, Clebsch-Gordan coefficients from
+the whole-matrix plan kernel the package used before it evaluated single
+columns from column plans, Clebsch-Gordan coefficients from
 ladder-operator construction on the product space, composite-basis
 amplitudes by summing coefficient times amplitude entry by entry (no
 change-of-basis matrix), rotation matrices from the Rodrigues formula,
@@ -116,7 +116,7 @@ def _kernel_plan(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def plan_kernel_D(tj: int, w: float, x: float, y: float, z: float) -> np.ndarray:
-    """D^j of the unit quaternion (w, x, y, z) by one request's plan: the
+    """D^j of the unit quaternion (w, x, y, z) by its whole-matrix plan: the
     powers by repeated Python products, every term coef * a^i * conj(a)^j *
     b^k * (-conj(b))^l as numpy arrays in that operand order, and each entry
     summed by bincount in plan order. numpy's complex multiply can round

@@ -271,7 +271,7 @@ def test_projection_matches_loop_oracle_property():
 
 
 def kernel_projection(state, route):
-    """The projection with both D matrices from the single-request plan
+    """The projection with both D matrices from the whole-matrix plan
     kernel, and the package's coupling table, as raw float bits."""
     s_a, s_b = state.desc_a.s, state.desc_b.s
     if isinstance(route, int):
@@ -313,7 +313,6 @@ def test_pair_route_evaluates_once_when_spins_and_rotation_bits_agree(monkeypatc
         monkeypatch.setattr(composite, name, wrapped)
 
     counting("wigner_D", composite.wigner_D)
-    counting("_evaluate", composite._evaluate)
     r = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
     # == matches 0.0 with -0.0, the bits do not
     signed = UnitQuaternion(1.0, -0.0, 0.0, 0.0)
@@ -322,8 +321,9 @@ def test_pair_route_evaluates_once_when_spins_and_rotation_bits_agree(monkeypatc
     for (ts_a, ts_b), route, want in (
         ((2, 2), (r, r), {"wigner_D": 1}),
         ((2, 2), (r, UnitQuaternion(1.0, 0.0, 0.0, 0.0)), {"wigner_D": 1}),
-        ((2, 2), (r, signed), {"_evaluate": 1}),
-        ((2, 3), (r, r), {"_evaluate": 1}),
+        ((2, 2), [r, r], {"wigner_D": 1}),
+        ((2, 2), (r, signed), {"wigner_D": 2}),
+        ((2, 3), (r, r), {"wigner_D": 2}),
         ((2, 2), 1, {"wigner_D": 1}),
     ):
         counts.clear()
@@ -353,7 +353,8 @@ def test_route_must_be_a_sheet_or_two_quaternions():
     state = pair_state_from_matrix(da, db, np.eye(2, dtype=complex) / math.sqrt(2.0))
     for bad in (
         (1, 1), 1.0, True, None, "1", (IDENTITY,), (IDENTITY, IDENTITY, IDENTITY),
-        [IDENTITY, IDENTITY], (IDENTITY, 1), (1.0, 0.0, 0.0, 0.0),
+        [IDENTITY], (IDENTITY, 1), (1.0, 0.0, 0.0, 0.0),
+        iter((IDENTITY, IDENTITY)),
     ):
         with pytest.raises(TypeError, match="route must be an int sheet"):
             project_composite(state, bad)

@@ -419,7 +419,7 @@ def test_assembly_bit_equal_to_per_entry_products():
 
 
 def test_assembly_bit_equal_to_the_plan_kernel():
-    # both columns come from one pass; each must carry the single-request
+    # each column comes from its column plan and must carry the plan
     # kernel's bits, signed zeros included, into the per-entry products
     rng = random.Random(58)
     for trial in range(200):
@@ -516,6 +516,22 @@ def test_joint_basis_is_built_once_per_content_pair(monkeypatch):
     keys = counted(da.content_key(), db.content_key())
     assert type(keys) is tuple and len(keys) == 12
     assert list(keys) == list(per_entry_amplitudes(da, db, [1] * 4, [1] * 3))
+
+
+def test_assembly_evaluates_one_column_per_particle(monkeypatch):
+    calls = []
+    evaluate = states._evaluate
+
+    def recorded(s, q, col=None):
+        calls.append((s.twice, col))
+        return evaluate(s, q, col)
+
+    monkeypatch.setattr(states, "_evaluate", recorded)
+    p_a, p_b = figure_pair(0.6)
+    da, db = make_desc("a", p_a, 3, -1), make_desc("b", p_b, 2, 2)
+    assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+    # column index of m: 2m = -1 is the third of 3, 1, -1, -3
+    assert calls == [(3, 2), (2, 0)]
 
 
 def test_to_matrix_reads_any_amplitude_dict():

@@ -101,34 +101,26 @@ def kernel_test_rotations(rng):
 
 
 def test_evaluator_is_bit_equal_to_the_plan_kernel():
-    # tobytes, so that signed zeros count: a request gives the bits of the
-    # single-request kernel whether it is evaluated alone or joined to others
+    # tobytes, so that signed zeros count: the whole matrix and every single
+    # column carry the bits of the plan kernel
     rng = random.Random(25)
     for ts in range(MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
         for q in kernel_test_rotations(rng):
             want = plan_kernel_D(ts, *q.components())
-            cols = [np.ascontiguousarray(want[:, c]).tobytes() for c in range(s.dim)]
             assert wigner_D(s, q).entries.tobytes() == want.tobytes()
-            (alone,) = _evaluate((s, q, None))
-            assert alone.tobytes() == want.tobytes()
-            other = TwiceSpin(rng.randint(0, MAX_TWICE_SPIN))
-            joined = _evaluate(
-                (other, rand_quaternion(rng), rng.randrange(other.dim)),
-                *((s, q, c) for c in range(s.dim)),
-                (s, q, None),
-            )
-            assert [c.tobytes() for c in joined[1:-1]] == cols
-            assert joined[-1].tobytes() == want.tobytes()
-            c = rng.randrange(s.dim)
-            (column,) = _evaluate((s, q, c))
-            assert column.shape == (s.dim,) and column.tobytes() == cols[c]
+            assert _evaluate(s, q).tobytes() == want.tobytes()
+            for c in range(s.dim):
+                column = _evaluate(s, q, c)
+                assert column.shape == (s.dim,)
+                assert column.tobytes() == np.ascontiguousarray(want[:, c]).tobytes()
 
 
-def test_evaluator_checks_every_spin():
-    s, big = TwiceSpin(1), TwiceSpin(MAX_TWICE_SPIN + 1)
-    with pytest.raises(ValueError, match="exceeds supported maximum"):
-        _evaluate((s, IDENTITY, 0), (big, IDENTITY, 0))
+def test_evaluator_checks_the_spin():
+    big = TwiceSpin(MAX_TWICE_SPIN + 1)
+    for col in (None, 0):
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            _evaluate(big, IDENTITY, col)
 
 
 def test_double_cover_sign_random():
