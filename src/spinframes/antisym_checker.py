@@ -10,9 +10,9 @@ pair over one parity bit per particle. Each constraint x_i XOR x_j = 1 says
 that i and j get different colours, so the system is solvable exactly when
 its constraint graph is 2-colourable; for "every pair" that graph is the
 complete graph K_N, which contains a triangle once N >= 3. K_N's pairs are
-made on demand, never stored, and the solver reads the constraints one at a
-time and stops at the first odd cycle, so it never looks at more of K_N
-than that triangle needs.
+a plain tuple in lexicographic order; the solver reads them one at a time
+and stops at the first odd cycle, so it never looks at more of K_N than
+that triangle needs.
 
 The impossibility report does not solve each K_N afresh. K_N is a subgraph
 of K_(N+1), so one parity forest, grown a particle at a time, holds every
@@ -23,10 +23,9 @@ no more work.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isqrt
 from typing import NamedTuple, Optional
 
 from .exactnum import TwiceSpin, _require_int, order_dependence_phase
@@ -63,7 +62,11 @@ class ParityLedger:
         )
 
     def particle_total(self, i: int) -> int:
-        """Net turn count of particle i, summed over slots."""
+        """Net turn count of particle i (0 <= i < n_particles), summed over
+        slots."""
+        _require_int(i, "particle index")
+        if not 0 <= i < self.n_particles:
+            raise ValueError(f"particle index {i} outside [0, {self.n_particles})")
         return sum(row[i] for row in self.table)
 
 
@@ -100,64 +103,12 @@ def check_noninterference(
     )
 
 
-class _CompletePairs(Sequence):
-    """The pairs (i, j), 0 <= i < j < n, of the complete graph K_n in
-    lexicographic order, made on demand: a read-only sequence that equals
-    and hashes like the tuple of the same pairs."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n * (self._n - 1) // 2
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        n = self._n
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield i, j
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        size = len(self)
-        k = operator.index(k)
-        if k < 0:
-            k += size
-        if not 0 <= k < size:
-            raise IndexError("pair index out of range")
-        # counted from the end, the rows i = n-2, n-3, ... hold 1, 2, ...
-        # pairs, so the r-th pair from the end (r from 0) lies in row
-        # n-2-t, where t(t + 1)/2 <= r < (t + 1)(t + 2)/2
-        r = size - 1 - k
-        t = (isqrt(8 * r + 1) - 1) // 2
-        return self._n - 2 - t, self._n - 1 - (r - t * (t + 1) // 2)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _CompletePairs):
-            # n(n - 1)/2 fixes n, except that K_0 and K_1 are both empty
-            return len(self) == len(other)
-        if isinstance(other, tuple):
-            return len(other) == len(self) and other == tuple(self)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._n})"
-
-
 @dataclass(frozen=True)
 class ExchangeConstraintSystem:
     """x_i = parity of particle i's turn-count difference between the two
     slot orders; each unordered pair demands x_i XOR x_j = 1.
 
-    Every pair (i, j) must have int ends with 0 <= i < j < n_vars, and is
-    checked here, except the pairs of K_m from build_constraints, which are
-    valid by construction and need only m <= n_vars."""
+    Every pair (i, j) must have int ends with 0 <= i < j < n_vars."""
 
     n_vars: int
     constraints: Sequence[tuple[int, int]]
@@ -165,14 +116,9 @@ class ExchangeConstraintSystem:
     def __post_init__(self) -> None:
         n = self.n_vars
         _require_int(n, "n_vars")
-        pairs = self.constraints
-        if type(pairs) is _CompletePairs:
-            if pairs._n > n:
-                raise ValueError(f"pairs of K_{pairs._n} exceed n_vars={n}")
-            return
         if n < 0:
             raise ValueError(f"n_vars must be non-negative, got {n}")
-        for i, j in pairs:
+        for i, j in self.constraints:
             _require_int(i, "constraint end")
             _require_int(j, "constraint end")
             if not (0 <= i < j < n):
@@ -180,12 +126,14 @@ class ExchangeConstraintSystem:
 
 
 def build_constraints(n_particles: int) -> ExchangeConstraintSystem:
-    """One XOR-inequality per unordered particle pair: N(N-1)/2 in all, in
-    lexicographic order, made as the solver reads them."""
+    """One XOR-inequality per unordered particle pair: N(N-1)/2 in all, as a
+    tuple in lexicographic order."""
+    _require_int(n_particles, "n_particles")
     if n_particles < 2:
         raise ValueError(f"need at least two particles, got {n_particles}")
     return ExchangeConstraintSystem(
-        n_vars=n_particles, constraints=_CompletePairs(n_particles)
+        n_vars=n_particles,
+        constraints=tuple(itertools.combinations(range(n_particles), 2)),
     )
 
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
+from .exactnum import (
+    EPS, TwiceSpin, _require_int, fmt15, m_range, order_dependence_phase
+)
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
 from .states import PairState, _require_array, _require_finite_amplitudes
@@ -171,11 +173,14 @@ def build_pair_spin_operator(
     Hermitian by construction; its spectrum is S(S+1) over the coupling range
     of |subset| spins s.
     """
+    _require_int(n_particles, "N")
     if n_particles > MAX_OPERATOR_PARTICLES:
         raise ValueError(f"N={n_particles} exceeds bound {MAX_OPERATOR_PARTICLES}")
     if s.twice > MAX_OPERATOR_TWICE_SPIN:
         raise ValueError(f"2s={s.twice} exceeds bound {MAX_OPERATOR_TWICE_SPIN}")
     subset = frozenset(subset)
+    for label in subset:
+        _require_int(label, "subset label")
     if len(subset) < 2:
         raise ValueError("subset must contain at least two particles")
     if not subset <= set(range(1, n_particles + 1)):
@@ -210,6 +215,7 @@ def max_commuting_pairset(n_particles: int, s: TwiceSpin) -> int:
     family would need. For s = 0 every operator is zero and all 2^N - N - 1
     subsets commute.
     """
+    _require_int(n_particles, "N")
     if n_particles < 0:
         raise ValueError(f"N must be non-negative, got {n_particles}")
     if s.twice == 0:

@@ -280,7 +280,7 @@ def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescr
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
     base-frame projections m' (descending): column m of wigner_D(desc.s, q),
-    evaluated from its column plan alone."""
+    evaluated from the plan of that one column, with no whole matrix built."""
     return _evaluate(desc.s, q, desc.s.index(desc.m))
 
 

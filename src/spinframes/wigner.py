@@ -12,10 +12,12 @@ Every entry is a homogeneous polynomial of degree 2s in (a, conj(a), b,
                / ((s+m-i)! i! (m'-m+i)! (s-m'-i)!)
                * a^(s+m-i) * conj(a)^(s-m'-i) * b^(m'-m+i) * (-conj(b))^i.
 
-The coefficients and exponents depend on 2s alone, so they are built once per
-2s as a flat plan of monomial terms (built on first use, then cached). A
-column plan is the slice of that plan whose terms land in one column; there
-are at most 91 (one per column of each 2s <= 12), each built on first use.
+The coefficients and exponents depend on 2s alone, so one builder lays them
+out as a flat plan of monomial terms, for the whole matrix or for one column,
+each plan built on first use and cached: at most 13 whole-matrix plans and
+91 column plans (one per column of each 2s <= 12). A column plan runs the
+same loop restricted to one column, so it holds that column's terms in the
+order the whole-matrix plan has them.
 One evaluator serves every caller: for one (2s, q) and either the whole
 matrix or one column, it fills a table of the powers 0..2s of the four
 Cayley-Klein factors by repeated products, multiplies each term's
@@ -101,7 +103,12 @@ class _Plan(NamedTuple):
 
 
 @cache
-def _plan(ts: int) -> _Plan:
+def _plan(ts: int, col: int | None = None) -> _Plan:
+    """The terms of D^s for 2s = ts, of the whole matrix when col is None,
+    else of its column col alone, each slot then in its entry's row of a
+    (2s+1)-vector. Terms run row by row, column by column, so a column's
+    terms keep the order they have in the whole matrix. Always called
+    positionally, so that (ts,) and (ts, None) are not two cache entries."""
     order = m_range(TwiceSpin(ts))
     dim = ts + 1
     slots: list[int] = []
@@ -109,7 +116,8 @@ def _plan(ts: int) -> _Plan:
     powers: list[tuple[int, int, int, int]] = []
     for row, tmp in enumerate(order):
         f_row = factorial_exact((ts + tmp) // 2) * factorial_exact((ts - tmp) // 2)
-        for col, tm in enumerate(order):
+        for c in range(dim) if col is None else (col,):
+            tm = order[c]
             f_col = factorial_exact((ts + tm) // 2) * factorial_exact((ts - tm) // 2)
             pref = sqrt(f_row * f_col)
             lo = max(0, (tm - tmp) // 2)
@@ -124,7 +132,7 @@ def _plan(ts: int) -> _Plan:
                     * factorial_exact(e_b)
                     * factorial_exact(e_ac)
                 )
-                flat = row * dim + col
+                flat = row * dim + c if col is None else row
                 slots.extend((2 * flat, 2 * flat + 1))
                 coef.append(pref / den)
                 powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
@@ -138,26 +146,6 @@ def _plan(ts: int) -> _Plan:
     return plan
 
 
-@cache
-def _column_plan(ts: int, col: int) -> _Plan:
-    """The terms of _plan(ts) that land in column col, in plan order, each
-    slot moved to its entry's row of a (2s+1)-vector: at most 91 of these
-    for 2s <= 12, built on first use."""
-    plan = _plan(ts)
-    dim = ts + 1
-    flat = plan.slots[::2] // 2
-    keep = np.flatnonzero(flat % dim == col)
-    rows = flat[keep] // dim
-    column = _Plan(
-        slots=np.stack((2 * rows, 2 * rows + 1), axis=1).reshape(-1),
-        coef=plan.coef[keep],
-        powers=plan.powers[:, keep].copy(),
-    )
-    for arr in column:
-        arr.flags.writeable = False
-    return column
-
-
 def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.ndarray:
     """D^s(q) from one numpy pass over its plan: the whole matrix when col
     is None, else its column at index col as a (2s+1)-vector.
@@ -169,14 +157,7 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.nda
     _require_supported(s)
     ts = s.twice
     dim = ts + 1
-    if col is None:
-        slots, coef, powers = _plan(ts)
-        shape: tuple[int, ...] = (dim, dim)
-        size = dim * dim
-    else:
-        slots, coef, powers = _column_plan(ts, col)
-        shape = (dim,)
-        size = dim
+    slots, coef, powers = _plan(ts, col)
     a, b = _cayley_klein(q)
     pw: list[complex] = []
     # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
@@ -188,8 +169,9 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.nda
             pw.append(p)
     factors = np.array(pw, dtype=complex)[powers]
     terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
-    out = np.bincount(slots, weights=terms.view(float), minlength=2 * size)
-    return out.view(complex).reshape(shape)
+    size = dim * dim if col is None else dim
+    out = np.bincount(slots, weights=terms.view(float), minlength=2 * size).view(complex)
+    return out.reshape(dim, dim) if col is None else out
 
 
 def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:

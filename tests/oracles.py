@@ -4,15 +4,15 @@ Nothing here imports the package. Each oracle reaches its quantity along a
 different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
-coefficients, no array evaluation) and, for bit-for-bit comparisons, from
-the whole-matrix plan kernel the package used before it evaluated single
-columns from column plans, Clebsch-Gordan coefficients from
-ladder-operator construction on the product space, composite-basis
-amplitudes by summing coefficient times amplitude entry by entry (no
-change-of-basis matrix), rotation matrices from the Rodrigues formula,
-parity-constraint solutions by trying every assignment or by a depth-first
-2-colouring of the whole constraint graph, and commuting families by
-searching every subfamily.
+coefficients, no array evaluation) and, for bit-for-bit comparisons of
+whole matrices and of the single columns the package evaluates from
+one-column plans, from a whole-matrix plan kernel, Clebsch-Gordan
+coefficients from ladder-operator construction on the product space,
+composite-basis amplitudes by summing coefficient times amplitude entry by
+entry (no change-of-basis matrix), rotation matrices from the Rodrigues
+formula, parity-constraint solutions by trying every assignment or by a
+depth-first 2-colouring of the whole constraint graph, and commuting
+families by searching every subfamily.
 """
 
 from __future__ import annotations

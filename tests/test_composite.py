@@ -485,6 +485,16 @@ def test_operator_bounds():
         build_pair_spin_operator(3, HALF, {1, 7})
 
 
+def test_operator_rejects_non_int_labels():
+    # {1.0, 2} and {True, 2} built an operator; 2.5 failed inside numpy
+    for subset in ({1.0, 2}, {True, 2}):
+        with pytest.raises(TypeError, match="subset label"):
+            build_pair_spin_operator(3, HALF, subset)
+    for n in (2.5, True, np.int64(3)):
+        with pytest.raises(TypeError, match="N must be an int"):
+            build_pair_spin_operator(n, HALF, {1, 2})
+
+
 def test_overlapping_pair_operators_do_not_commute():
     ops = {
         pair: build_pair_spin_operator(3, HALF, set(pair)).matrix
@@ -511,6 +521,13 @@ def test_max_commuting_pairset_without_size_bounds():
     assert max_commuting_pairset(4, TwiceSpin(0)) == 11
     with pytest.raises(ValueError, match="non-negative"):
         max_commuting_pairset(-1, HALF)
+
+
+def test_max_commuting_pairset_rejects_non_int_sizes():
+    # each was accepted: 1.5, 0, 4.0 and an np.int64 came back
+    for n, s in ((2.5, HALF), (True, HALF), (3.0, TwiceSpin(0)), (np.int64(4), HALF)):
+        with pytest.raises(TypeError, match="N must be an int"):
+            max_commuting_pairset(n, s)
 
 
 def subsets_of_at_least_two(n):

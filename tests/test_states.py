@@ -419,8 +419,9 @@ def test_assembly_bit_equal_to_per_entry_products():
 
 
 def test_assembly_bit_equal_to_the_plan_kernel():
-    # each column comes from its column plan and must carry the plan
-    # kernel's bits, signed zeros included, into the per-entry products
+    # each column comes from the one-column plan of the same builder and
+    # must carry the plan kernel's bits, signed zeros included, into the
+    # per-entry products
     rng = random.Random(58)
     for trial in range(200):
         merged = trial % 4 == 0
