@@ -108,7 +108,8 @@ class ExchangeConstraintSystem:
     """x_i = parity of particle i's turn-count difference between the two
     slot orders; each unordered pair demands x_i XOR x_j = 1.
 
-    Every pair (i, j) must have int ends with 0 <= i < j < n_vars."""
+    constraints must be a Sequence, not a one-pass iterator that validation
+    would use up; every pair (i, j) must have int ends 0 <= i < j < n_vars."""
 
     n_vars: int
     constraints: Sequence[tuple[int, int]]
@@ -118,6 +119,11 @@ class ExchangeConstraintSystem:
         _require_int(n, "n_vars")
         if n < 0:
             raise ValueError(f"n_vars must be non-negative, got {n}")
+        if not isinstance(self.constraints, Sequence):
+            raise TypeError(
+                "constraints must be a sequence of pairs, got "
+                f"{type(self.constraints).__name__}"
+            )
         for i, j in self.constraints:
             _require_int(i, "constraint end")
             _require_int(j, "constraint end")

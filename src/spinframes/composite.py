@@ -16,7 +16,7 @@ from .exactnum import (
 )
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
-from .states import PairState, _require_array, _require_finite_amplitudes
+from .states import PairState, _require_amplitude_matrix
 from .wigner import CGTable, wigner_D
 
 # Dense-matrix desk-scale bounds.
@@ -113,17 +113,12 @@ def _bits(q: UnitQuaternion) -> bytes:
 def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
     """Project a square amplitude matrix onto the slot-swap eigenspace with
     eigenvalue (-1)^(2s), normalized: (psi + (-1)^(2s) psi^T) / norm. psi
-    must be a numpy array (else TypeError).
+    must be a numpy array (else TypeError) of shape exactly (2s+1, 2s+1).
 
     For half-integer s this looks like antisymmetrization, for integer s like
     symmetrization; both keep exactly the even-S coupling channels.
     """
-    _require_array(psi, "psi")
-    if psi.shape[0] != psi.shape[1] or psi.shape[0] != s.dim:
-        raise ValueError(
-            f"matrix shape {psi.shape} does not match spin dimension {s.dim}"
-        )
-    _require_finite_amplitudes(psi)
+    _require_amplitude_matrix(psi, "psi", (s.dim, s.dim))
     out = psi + order_dependence_phase([1], [s]) * psi.T
     norm = np.linalg.norm(out)
     if norm < EPS:

@@ -69,6 +69,8 @@ class ParticleDescriptor:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.Q, str):
+            raise TypeError(f"Q must be a str, got {type(self.Q).__name__}")
         self.s.component(self.m)
         _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
@@ -174,11 +176,7 @@ class PairState:
         Only defined for distinct content: on a merged basis a label cannot
         be attributed to either particle and the matrix would double-count.
         """
-        if self.merged_content():
-            raise ValueError(
-                "joint amplitudes of identical-content pairs are stored on a "
-                "merged basis and have no slot-ordered matrix form"
-            )
+        _require_distinct_content(self.desc_a, self.desc_b)
         keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
         amps = self.amplitudes
         # the states built here list their amplitudes in basis order, under
@@ -318,16 +316,24 @@ def assemble_pair_canonical_orderfree(
     return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
 
 
-def _require_array(matrix: object, what: str) -> None:
-    """TypeError naming what unless matrix is a numpy array."""
+def _require_amplitude_matrix(matrix: object, what: str, shape: tuple[int, int]) -> None:
+    """TypeError naming what unless matrix is a numpy array; ValueError
+    unless its shape is exactly shape and every entry is finite."""
     if not isinstance(matrix, np.ndarray):
         raise TypeError(f"{what} must be a numpy array, got {type(matrix).__name__}")
-
-
-def _require_finite_amplitudes(matrix: np.ndarray) -> None:
-    """ValueError unless every entry of the amplitude matrix is finite."""
+    if matrix.shape != shape:
+        raise ValueError(f"{what} shape {matrix.shape} is not {shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("amplitude matrix has non-finite entries")
+
+
+def _require_distinct_content(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
+    """ValueError for identical content, which has no slot-ordered matrix."""
+    if desc_a.content_key() == desc_b.content_key():
+        raise ValueError(
+            "joint amplitudes of identical-content pairs are stored on a "
+            "merged basis and have no slot-ordered matrix form"
+        )
 
 
 def pair_state_from_matrix(
@@ -341,18 +347,8 @@ def pair_state_from_matrix(
     For building superpositions directly; contents must be distinct so the
     matrix rows/columns attach unambiguously to the two particles.
     """
-    _require_array(matrix, "matrix")
-    if desc_a.content_key() == desc_b.content_key():
-        raise ValueError(
-            "identical particle content: a slot-ordered matrix does not "
-            "determine merged-basis amplitudes"
-        )
-    if matrix.shape != (desc_a.s.dim, desc_b.s.dim):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match spin dimensions "
-            f"({desc_a.s.dim}, {desc_b.s.dim})"
-        )
-    _require_finite_amplitudes(matrix)
+    _require_amplitude_matrix(matrix, "matrix", (desc_a.s.dim, desc_b.s.dim))
+    _require_distinct_content(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
@@ -371,6 +367,13 @@ def pure_permute(state: PairState) -> PairState:
         desc_b=state.desc_a,
         amplitudes=dict(state.amplitudes),
     )
+
+
+def _two_slots(ordered: OrderedDescription, what: str) -> tuple[ParticleDescriptor, ...]:
+    """ordered's two slots; ValueError naming what unless there are two."""
+    if len(ordered.slots) != 2:
+        raise ValueError(f"{what} needs exactly two slots, got {len(ordered.slots)}")
+    return ordered.slots
 
 
 def exchange_order_dependent(
@@ -393,11 +396,7 @@ def exchange_order_dependent(
     turn counts (1, 0) or (0, 1); the exchanged state equals phase times the
     assembled original within EPS. The cases differ by (-1)^(2s_a + 2s_b).
     """
-    if len(ordered.slots) != 2:
-        raise ValueError(
-            f"exchange needs exactly two slots, got {len(ordered.slots)}"
-        )
-    d1, d2 = ordered.slots
+    d1, d2 = _two_slots(ordered, "exchange")
     r21 = ordered.half_turns[0]
     if case is ExchangeCase.FIRST:
         first = d2  # keeps its rotation, compose(d1.R_BS, r21)
@@ -415,9 +414,5 @@ def exchange_order_dependent(
 
 def assemble_ordered(ordered: OrderedDescription) -> PairState:
     """Assemble a two-slot ordered description with its derived rotations."""
-    if len(ordered.slots) != 2:
-        raise ValueError(
-            f"pair assembly needs exactly two slots, got {len(ordered.slots)}"
-        )
-    d1, d2 = ordered.slots
+    d1, d2 = _two_slots(ordered, "pair assembly")
     return assemble_pair_canonical_orderfree(d1, d2, d1.R_BS, d2.R_BS)

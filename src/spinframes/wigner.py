@@ -61,7 +61,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import MAX_TWICE_SPIN, exchange_symmetry_sign  # noqa: F401  (bound here too)
 from .exactnum import (
     TwiceSpin, _require_supported, factorial_exact, m_range, total_spins
 )

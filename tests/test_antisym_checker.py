@@ -372,6 +372,19 @@ def test_complete_pairs_must_fit_the_variables():
         ExchangeConstraintSystem(n_vars=5.0, constraints=pairs)
 
 
+def test_constraints_must_be_a_sequence():
+    # validation would use up a generator or an iterator, leaving the solver
+    # no pairs to read: K_3 would then read as satisfiable
+    for one_pass in (
+        (pair for pair in build_constraints(3).constraints),
+        iter([(0, 1), (0, 2), (1, 2)]),
+    ):
+        with pytest.raises(TypeError, match="constraints must be a sequence"):
+            ExchangeConstraintSystem(n_vars=3, constraints=one_pass)
+    listed = ExchangeConstraintSystem(n_vars=3, constraints=[(0, 1), (0, 2), (1, 2)])
+    assert exhaustive_satisfiable(listed) == (False, None, 0)
+
+
 def test_non_int_labels_rejected():
     with pytest.raises(TypeError, match="n_vars"):
         ExchangeConstraintSystem(n_vars=2.5, constraints=((0, 1),))

@@ -1,9 +1,13 @@
 """End-to-end command-line runs through a real subprocess: golden report
-bytes, exit codes, determinism, and the error paths."""
+bytes, exit codes, determinism, and the error paths. The failed-claim exit
+(1), which a correct library never reaches, runs in process, with the
+library call behind each claim patched to break it."""
 
 import os
 import subprocess
 import sys
+
+from spinframes import ExchangeCase, cli
 
 FULL_TURN = "6.283185307179586"
 
@@ -335,3 +339,41 @@ def test_closed_pipe_exits_quietly_and_claims_nothing():
         finally:
             os.close(write_end)
         assert (r.returncode, r.stderr) == (141, "")
+
+
+def test_exchange_claim_failure_exits_1(monkeypatch, capsys):
+    real = cli.exchange_order_dependent
+
+    def second_with_the_wrong_sign(ordered, case):
+        state, phase = real(ordered, case)
+        return (state.scaled(-1) if case is ExchangeCase.SECOND else state), phase
+
+    monkeypatch.setattr(cli, "exchange_order_dependent", second_with_the_wrong_sign)
+    for sa2, sb2 in (("1", "2"), ("1", "1"), ("2", "2")):
+        code = cli.main(["exchange", "--sa2", sa2, "--sb2", sb2, "--case", "first"])
+        assert code == 1
+        assert capsys.readouterr() == ("case discrepancy check failed\n", "")
+
+
+def test_impossibility_claim_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "n2_only_pattern", lambda rows: False)
+    assert cli.main(["impossibility", "--n", "3"]) == 1
+    # the report itself is written; only the claim on it fails
+    assert capsys.readouterr() == (
+        "N=2 satisfiable=true witnesses=2\nN=3 satisfiable=false witnesses=0\n", ""
+    )
+
+
+def test_frames_claim_failure_exits_1(monkeypatch, capsys):
+    real = cli.relative_rotation
+    monkeypatch.setattr(
+        cli, "relative_rotation", lambda frame, target, sheet: real(frame, target, 1)
+    )
+    assert cli.main(["frames", "--pa", "1,0,1", "--pb=-1,0,1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-3:] == [
+        "sheet=+1: q=0,0,0,1 residual=0",
+        "sheet=-1: q=0,0,0,1 residual=0",
+        "opposite_sheets_negate: false",
+    ]

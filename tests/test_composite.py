@@ -366,6 +366,18 @@ def test_pseudo_antisymmetrize_requires_an_array():
             pseudo_antisymmetrize(bad, HALF)
 
 
+def test_amplitude_matrices_must_have_the_exact_2d_shape():
+    # one check serves both entry points; without it a 1-D psi fails with
+    # an IndexError and a 3-D one comes back as a 3-D "projection"
+    for bad in (np.ones(2), np.ones((2, 2, 2)), np.ones((2, 2, 1)), np.ones((1, 2))):
+        with pytest.raises(ValueError, match=r"psi shape .* is not \(2, 2\)"):
+            pseudo_antisymmetrize(bad, HALF)
+    da, db = slot_pair(1, 2)
+    for bad in (np.ones(6), np.ones((2, 3, 1)), np.ones((3, 2))):
+        with pytest.raises(ValueError, match=r"matrix shape .* is not \(2, 3\)"):
+            pair_state_from_matrix(da, db, bad)
+
+
 def test_projections_do_not_share_amplitudes():
     rng = random.Random(58)
     da, db = slot_pair(3, 2)

@@ -21,7 +21,7 @@ from spinframes import (
     order_dependence_phase,
     total_spins,
 )
-from spinframes import cli, composite, exactnum, states, wigner
+from spinframes import cli, composite, exactnum, states
 
 
 def test_twice_spin_parity_flags():
@@ -171,7 +171,6 @@ def test_int_checks_name_their_argument():
 def test_moved_names_are_one_object_everywhere():
     # the benchmark tracer rebinds a function wherever the same object is bound
     bound = {
-        wigner: ("MAX_TWICE_SPIN", "exchange_symmetry_sign"),
         composite: ("pseudo_antisymmetry_sign", "exclusion_check"),
         cli: ("exclusion_check",),
         states: ("order_dependence_phase",),

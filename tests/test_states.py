@@ -70,6 +70,20 @@ def test_descriptor_validates_projection():
         make_desc("u", ZHAT, 2, 1)
 
 
+def test_descriptor_rejects_a_non_str_content_label():
+    # sorting a non-str Q against a str one would fail inside PairState, so
+    # the descriptor rejects it first, before the projection and momentum
+    # checks and before any key is built
+    for bad in (1, b"a", None):
+        with pytest.raises(TypeError, match=f"Q must be a str, got {type(bad).__name__}"):
+            make_desc(bad, ZHAT, 1, 1)
+        with pytest.raises(TypeError, match="Q must be a str"):
+            ParticleDescriptor(
+                Q=bad, p=Vec3(math.nan, 0.0, 1.0), s=TwiceSpin(1), m=2,
+                base=FrameTag.CANONICAL, R_BS=IDENTITY,
+            )
+
+
 def test_content_key_is_bit_exact_on_momenta():
     d1 = make_desc("u", Vec3(0.0, 0.0, 1.0), 1, 1)
     d2 = make_desc("u", Vec3(-0.0, 0.0, 1.0), 1, 1)
