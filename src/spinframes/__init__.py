@@ -8,78 +8,108 @@ back-to-back pairs, order-free and order-dependent pair state descriptions
 with their exchange phases, composite-spin projection with the even-S
 exclusion rule, and the parity-ledger argument that universal pairwise
 antisymmetrization cannot be a convention for three or more particles.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first use (PEP 562), so a command-line
+process loads only what its subcommand needs.
 """
 
-from .antisym_checker import (
-    ExchangeConstraintSystem,
-    ParityLedger,
-    SatResult,
-    build_constraints,
-    check_noninterference,
-    exchange_sign,
-    exhaustive_satisfiable,
-    impossibility_report,
-    n2_only_pattern,
-    report_lines,
-)
-from .composite import (
-    CompositeProjection,
-    PairSpinOperator,
-    build_pair_spin_operator,
-    max_commuting_pairset,
-    project_composite,
-    pseudo_antisymmetrize,
-)
-from .exactnum import (
-    EPS,
-    MAX_TWICE_SPIN,
-    N_FACT,
-    TwiceSpin,
-    exchange_symmetry_sign,
-    exclusion_check,
-    factorial_exact,
-    fmt15,
-    m_range,
-    neg_one_pow,
-    order_dependence_phase,
-    pseudo_antisymmetry_sign,
-    total_spins,
-)
-from .frames import (
-    CollinearMomentaError,
-    FrameMismatchError,
-    HelicityFrame,
-    bisector_axis,
-    cm_polar_relation,
-    helicity_frame,
-    relative_rotation,
-)
-from .rotations import (
-    EPS_GEOM,
-    IDENTITY,
-    UnitQuaternion,
-    Vec3,
-    compose,
-    frame_to_quaternion,
-    from_axis_angle,
-    half_turn,
-    inverse,
-    quaternion_close,
-    to_matrix3,
-)
-from .states import (
-    ExchangeCase,
-    FrameTag,
-    OrderedDescription,
-    PairState,
-    ParticleDescriptor,
-    assemble_ordered,
-    assemble_pair_canonical_orderfree,
-    exchange_order_dependent,
-    pair_state_from_matrix,
-    pure_permute,
-    rotate_sqf,
-)
-from .wigner import CGTable, WignerMatrix, clebsch_gordan, wigner_D
+import importlib
+
+# Not needed by the package itself. bench/run.py measure_imports reads the
+# cumulative import time of numpy under `import spinframes` and fails when
+# numpy has no entry there, so the import stays until a missing entry reads
+# as 0 ms (ROADMAP item 1).
+import numpy  # noqa: F401
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "antisym_checker": (
+        "ExchangeConstraintSystem",
+        "ParityLedger",
+        "SatResult",
+        "build_constraints",
+        "check_noninterference",
+        "exchange_sign",
+        "exhaustive_satisfiable",
+        "impossibility_report",
+        "n2_only_pattern",
+        "report_lines",
+    ),
+    "composite": (
+        "CompositeProjection",
+        "PairSpinOperator",
+        "build_pair_spin_operator",
+        "max_commuting_pairset",
+        "project_composite",
+        "pseudo_antisymmetrize",
+    ),
+    "exactnum": (
+        "EPS",
+        "MAX_TWICE_SPIN",
+        "N_FACT",
+        "TwiceSpin",
+        "exchange_symmetry_sign",
+        "exclusion_check",
+        "factorial_exact",
+        "fmt15",
+        "m_range",
+        "neg_one_pow",
+        "order_dependence_phase",
+        "pseudo_antisymmetry_sign",
+        "total_spins",
+    ),
+    "frames": (
+        "CollinearMomentaError",
+        "FrameMismatchError",
+        "HelicityFrame",
+        "bisector_axis",
+        "cm_polar_relation",
+        "helicity_frame",
+        "relative_rotation",
+    ),
+    "rotations": (
+        "EPS_GEOM",
+        "IDENTITY",
+        "UnitQuaternion",
+        "Vec3",
+        "compose",
+        "frame_to_quaternion",
+        "from_axis_angle",
+        "half_turn",
+        "inverse",
+        "quaternion_close",
+        "to_matrix3",
+    ),
+    "states": (
+        "ExchangeCase",
+        "FrameTag",
+        "OrderedDescription",
+        "PairState",
+        "ParticleDescriptor",
+        "assemble_ordered",
+        "assemble_pair_canonical_orderfree",
+        "exchange_order_dependent",
+        "pair_state_from_matrix",
+        "pure_permute",
+        "rotate_sqf",
+    ),
+    "wigner": ("CGTable", "WignerMatrix", "clebsch_gordan", "wigner_D"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,37 +4,30 @@ Every subcommand is deterministic: fixed inputs give byte-identical output.
 Exit codes: 0 when the report ran and its claims hold, 1 if a claim fails
 (which a correct library never produces), 2 on input errors, and 141, as for
 SIGPIPE, when the reader closes the output before the report is written.
+
+Each handler imports the modules it uses when it runs, so a process loads
+only its own subcommand's layers; exactnum, which every report formats
+with, is the one layer imported here.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
-from typing import TextIO
+from typing import TYPE_CHECKING, NoReturn, TextIO
 
-from .antisym_checker import impossibility_report, n2_only_pattern, report_lines
 from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, m_range, order_dependence_phase
-from .frames import (
-    CollinearMomentaError,
-    _frame_residual,
-    bisector_axis,
-    helicity_frame,
-    relative_rotation,
-)
-from .rotations import IDENTITY, UnitQuaternion, Vec3, from_axis_angle
-from .states import (
-    ExchangeCase,
-    FrameTag,
-    OrderedDescription,
-    ParticleDescriptor,
-    exchange_order_dependent,
-)
-from .wigner import wigner_D
+
+if TYPE_CHECKING:
+    from .rotations import UnitQuaternion, Vec3
 
 
 def _parse_vec(text: str) -> Vec3:
+    from .rotations import Vec3
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated components, got {text!r}")
@@ -50,6 +43,9 @@ def _fmt_quat(q: UnitQuaternion) -> str:
 
 
 def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
+    from .rotations import from_axis_angle
+    from .wigner import wigner_D
+
     s = TwiceSpin(args.s2)
     axis = _parse_vec(args.axis)
     q = from_axis_angle(axis, args.angle)
@@ -68,16 +64,27 @@ def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
 # Fixed demonstration geometry for the exchange report: a back-to-back pair
 # at polar angle pi/4 in the x-z plane, both spins stretched, slot-1 frame at
 # the identity.
-_EXCHANGE_P_A = Vec3(math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4))
-_EXCHANGE_P_B = Vec3(-math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4))
+_EXCHANGE_P_A = (math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4))
+_EXCHANGE_P_B = (-math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4))
 
 
 def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
+    from .rotations import IDENTITY, Vec3
+    from .states import (
+        ExchangeCase,
+        FrameTag,
+        OrderedDescription,
+        ParticleDescriptor,
+        exchange_order_dependent,
+    )
+
     s_a = TwiceSpin(args.sa2)
     s_b = TwiceSpin(args.sb2)
     d1, d2 = (
-        ParticleDescriptor(Q=q, p=p, s=s, m=s.twice, base=FrameTag.HELICITY, R_BS=IDENTITY)
-        for q, p, s in (("a", _EXCHANGE_P_A, s_a), ("b", _EXCHANGE_P_B, s_b))
+        ParticleDescriptor(
+            Q=q, p=Vec3(*xyz), s=s, m=s.twice, base=FrameTag.HELICITY, R_BS=IDENTITY
+        )
+        for q, xyz, s in (("a", _EXCHANGE_P_A, s_a), ("b", _EXCHANGE_P_B, s_b))
     )
     ordered = OrderedDescription([d1, d2])
     state_first, phase_first = exchange_order_dependent(ordered, ExchangeCase.FIRST)
@@ -103,6 +110,8 @@ def cmd_exclusion(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_impossibility(args: argparse.Namespace, out: TextIO) -> int:
+    from .antisym_checker import impossibility_report, n2_only_pattern, report_lines
+
     rows = impossibility_report(args.n)
     for line in report_lines(rows):
         out.write(line + "\n")
@@ -110,6 +119,8 @@ def cmd_impossibility(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
+    from .frames import _frame_residual, bisector_axis, helicity_frame, relative_rotation
+
     p_a = _parse_vec(args.pa)
     p_b = _parse_vec(args.pb)
     frame_a = helicity_frame(p_a, p_b, tag="a")
@@ -175,37 +186,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
-    opened = None
-    if args.out:
-        try:
-            opened = open(args.out, "w")
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return 2
-        out = opened
+    # a report bound for --out is rendered into memory and the file opened
+    # only once the handler has returned, so rejected input leaves an
+    # existing file as it was
+    out = io.StringIO() if args.out else sys.stdout
     try:
         code = args.handler(args, out)
+        if args.out:
+            try:
+                opened = open(args.out, "w")
+            except OSError as exc:
+                print(f"error: cannot write --out: {exc}", file=sys.stderr)
+                return 2
+            with opened:
+                opened.write(out.getvalue())
         # flush here, so that a reader that closed early is caught below
-        out.flush()
+        sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the buffered rest goes to devnull, so the flush at exit stays
-        # silent; the exit code is the one shells report for SIGPIPE
+        # the buffered rest goes to devnull, so a later flush stays silent;
+        # the exit code is the one shells report for SIGPIPE
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
+        os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except CollinearMomentaError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a report that never loaded frames cannot have raised its error
+        frames = sys.modules.get(f"{__package__}.frames")
+        if frames is not None and isinstance(exc, frames.CollinearMomentaError):
+            print(str(exc), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if opened is not None:
-            opened.close()
+
+
+def run() -> NoReturn:
+    """Entry point of the console script and of `python -m spinframes`.
+
+    Runs main, flushes both streams and leaves by os._exit, which skips the
+    interpreter's teardown (numpy's module cleanup and the shutdown of its
+    BLAS threads) once the report is written. An argparse exit or an
+    uncaught exception takes the normal exit path.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

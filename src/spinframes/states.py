@@ -48,6 +48,13 @@ class ExchangeCase(enum.Enum):
     SECOND = "SECOND"
 
 
+# The descriptor fields a wrong type would otherwise reach as an
+# AttributeError naming no field; m is checked by TwiceSpin.component.
+_FIELD_TYPES = (
+    ("Q", str), ("p", Vec3), ("s", TwiceSpin), ("base", FrameTag), ("R_BS", UnitQuaternion)
+)
+
+
 @dataclass(frozen=True)
 class ParticleDescriptor:
     """One particle: content (Q, p, s), projection m (as the int 2m), and
@@ -69,8 +76,10 @@ class ParticleDescriptor:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.Q, str):
-            raise TypeError(f"Q must be a str, got {type(self.Q).__name__}")
+        for name, kind in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         self.s.component(self.m)
         _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
@@ -317,10 +326,16 @@ def assemble_pair_canonical_orderfree(
 
 
 def _require_amplitude_matrix(matrix: object, what: str, shape: tuple[int, int]) -> None:
-    """TypeError naming what unless matrix is a numpy array; ValueError
-    unless its shape is exactly shape and every entry is finite."""
+    """TypeError naming what unless matrix is a numpy array of numbers
+    (signed or unsigned int, float or complex; not bool, str, object or
+    timedelta); ValueError unless its shape is exactly shape and every
+    entry is finite."""
     if not isinstance(matrix, np.ndarray):
         raise TypeError(f"{what} must be a numpy array, got {type(matrix).__name__}")
+    # a tenth of the cost of np.issubdtype(dtype, np.number), which would
+    # also pass timedelta64
+    if matrix.dtype.kind not in "iufc":
+        raise TypeError(f"{what} must hold numbers, got dtype {matrix.dtype}")
     if matrix.shape != shape:
         raise ValueError(f"{what} shape {matrix.shape} is not {shape}")
     if not np.isfinite(matrix).all():

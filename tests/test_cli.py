@@ -3,11 +3,13 @@ bytes, exit codes, determinism, and the error paths. The failed-claim exit
 (1), which a correct library never reaches, runs in process, with the
 library call behind each claim patched to break it."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
-from spinframes import ExchangeCase, cli
+from spinframes import ExchangeCase, antisym_checker, cli, frames, states
 
 FULL_TURN = "6.283185307179586"
 
@@ -320,6 +322,90 @@ def test_unwritable_out_exit_2(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_rejected_input_leaves_an_existing_out_file_unchanged(tmp_path, monkeypatch):
+    # the file is opened only once the report is rendered
+    target = tmp_path / "report.txt"
+    target.write_text("earlier report\n")
+    for args, err in (
+        (("exclusion", "--s2", "99"), "error: 2s=99 exceeds supported maximum 12\n"),
+        (("frames", "--pa", "1,0,0", "--pb", "2,0,0"),
+         "helicity frame undefined for collinear momenta\n"),
+    ):
+        r = run_cli(*args, "--out", str(target))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", err), args
+        assert target.read_text() == "earlier report\n"
+    # a failed claim is no input error: its report is still written
+    monkeypatch.setattr(antisym_checker, "n2_only_pattern", lambda rows: False)
+    assert cli.main(["impossibility", "--n", "3", "--out", str(target)]) == 1
+    assert target.read_text() == (
+        "N=2 satisfiable=true witnesses=2\nN=3 satisfiable=false witnesses=0\n"
+    )
+
+
+def test_run_writes_everything_before_it_skips_teardown(tmp_path):
+    # run() leaves by os._exit, so nothing buffered may be left behind: the
+    # longest report, in full, through a pipe and through --out
+    args = ("dmatrix", "--s2", "12", "--axis", "0.1,0.9,-0.2", "--angle", "2.1")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(args)) == 0
+    want = buf.getvalue()
+    assert len(want.splitlines()) == 2 + 13 * 13
+    assert run_cli(*args).stdout == want
+    target = tmp_path / "report.txt"
+    r = run_cli(*args, "--out", str(target))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    assert target.read_text() == want
+    # the other subprocess tests here pin exits 2 and 141 through run();
+    # argparse's own exit takes the normal way out
+    r = run_cli("--help")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.startswith("usage: spinframes")
+    # a failed claim exits 1 with its report, and the atexit hook shows
+    # that the interpreter was not torn down
+    script = """
+import atexit, sys
+import spinframes.antisym_checker as checker
+from spinframes import cli
+checker.n2_only_pattern = lambda rows: False
+atexit.register(print, "teardown ran", file=sys.stderr)
+sys.argv = ["spinframes", "impossibility", "--n", "3"]
+cli.run()
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1, "N=2 satisfiable=true witnesses=2\nN=3 satisfiable=false witnesses=0\n", ""
+    )
+
+
+# The spinframes modules each subcommand loads, cli and exactnum included.
+LOADED = {
+    ("exclusion", "--s2", "3"): ["cli", "exactnum"],
+    ("impossibility", "--n", "4"): ["antisym_checker", "cli", "exactnum"],
+    ("dmatrix", "--s2", "3", "--axis", "0,0,1", "--angle", "1"):
+        ["cli", "exactnum", "rotations", "wigner"],
+    ("frames", "--pa", "1,0,1", "--pb=-1,0,1"): ["cli", "exactnum", "frames", "rotations"],
+    ("exchange", "--sa2", "1", "--sb2", "2", "--case", "first"):
+        ["cli", "exactnum", "frames", "rotations", "states", "wigner"],
+}
+
+
+def test_each_subcommand_loads_only_its_own_modules():
+    script = """
+import contextlib, io, sys
+from spinframes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m.split(".")[1] for m in sys.modules if m.startswith("spinframes.")))
+"""
+    for args, modules in LOADED.items():
+        r = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True
+        )
+        assert (r.returncode, r.stderr) == (0, ""), args
+        assert r.stdout.split() == ["0", *modules], args
+
+
 def test_closed_pipe_exits_quietly_and_claims_nothing():
     # a reader gone before the first byte, as under `| head -1`: no traceback,
     # and an exit code that is neither success, a failed claim nor bad input
@@ -342,13 +428,13 @@ def test_closed_pipe_exits_quietly_and_claims_nothing():
 
 
 def test_exchange_claim_failure_exits_1(monkeypatch, capsys):
-    real = cli.exchange_order_dependent
+    real = states.exchange_order_dependent
 
     def second_with_the_wrong_sign(ordered, case):
         state, phase = real(ordered, case)
         return (state.scaled(-1) if case is ExchangeCase.SECOND else state), phase
 
-    monkeypatch.setattr(cli, "exchange_order_dependent", second_with_the_wrong_sign)
+    monkeypatch.setattr(states, "exchange_order_dependent", second_with_the_wrong_sign)
     for sa2, sb2 in (("1", "2"), ("1", "1"), ("2", "2")):
         code = cli.main(["exchange", "--sa2", sa2, "--sb2", sb2, "--case", "first"])
         assert code == 1
@@ -356,7 +442,7 @@ def test_exchange_claim_failure_exits_1(monkeypatch, capsys):
 
 
 def test_impossibility_claim_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "n2_only_pattern", lambda rows: False)
+    monkeypatch.setattr(antisym_checker, "n2_only_pattern", lambda rows: False)
     assert cli.main(["impossibility", "--n", "3"]) == 1
     # the report itself is written; only the claim on it fails
     assert capsys.readouterr() == (
@@ -365,9 +451,9 @@ def test_impossibility_claim_failure_exits_1(monkeypatch, capsys):
 
 
 def test_frames_claim_failure_exits_1(monkeypatch, capsys):
-    real = cli.relative_rotation
+    real = frames.relative_rotation
     monkeypatch.setattr(
-        cli, "relative_rotation", lambda frame, target, sheet: real(frame, target, 1)
+        frames, "relative_rotation", lambda frame, target, sheet: real(frame, target, 1)
     )
     assert cli.main(["frames", "--pa", "1,0,1", "--pb=-1,0,1"]) == 1
     out, err = capsys.readouterr()

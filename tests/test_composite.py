@@ -378,6 +378,23 @@ def test_amplitude_matrices_must_have_the_exact_2d_shape():
             pair_state_from_matrix(da, db, bad)
 
 
+def test_amplitude_matrices_must_hold_numbers():
+    # a str or object array used to fail inside np.isfinite with numpy's
+    # message, and a bool or timedelta array passed as numbers
+    for dtype in (str, object, bool, "m8[s]"):
+        with pytest.raises(TypeError, match="psi must hold numbers, got dtype"):
+            pseudo_antisymmetrize(np.ones((2, 2), dtype=dtype), HALF)
+    da, db = slot_pair(1, 2)
+    for dtype in (str, object, bool):
+        with pytest.raises(TypeError, match="matrix must hold numbers, got dtype"):
+            pair_state_from_matrix(da, db, np.ones((2, 3), dtype=dtype))
+    # int, unsigned, float and complex arrays are numbers
+    for dtype in (int, np.uint8, float, complex):
+        pair_state_from_matrix(da, db, np.ones((2, 3), dtype=dtype))
+    for dtype in (int, float, complex):
+        pseudo_antisymmetrize(np.triu(np.ones((2, 2), dtype=dtype)), HALF)
+
+
 def test_projections_do_not_share_amplitudes():
     rng = random.Random(58)
     da, db = slot_pair(3, 2)

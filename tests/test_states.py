@@ -84,6 +84,23 @@ def test_descriptor_rejects_a_non_str_content_label():
             )
 
 
+def test_descriptor_names_a_field_of_the_wrong_type():
+    # each of these used to be an AttributeError naming no field
+    good = dict(
+        Q="a", p=Vec3(0.0, 0.0, 1.0), s=TwiceSpin(1), m=1,
+        base=FrameTag.HELICITY, R_BS=IDENTITY,
+    )
+    for name, bad, message in (
+        ("s", 1, "s must be a TwiceSpin, got int"),
+        ("base", "HELICITY", "base must be a FrameTag, got str"),
+        ("R_BS", (1.0, 0.0, 0.0, 0.0), "R_BS must be a UnitQuaternion, got tuple"),
+        ("p", (0.0, 0.0, 1.0), "p must be a Vec3, got tuple"),
+    ):
+        with pytest.raises(TypeError) as got:
+            ParticleDescriptor(**{**good, name: bad})
+        assert str(got.value) == message
+
+
 def test_content_key_is_bit_exact_on_momenta():
     d1 = make_desc("u", Vec3(0.0, 0.0, 1.0), 1, 1)
     d2 = make_desc("u", Vec3(-0.0, 0.0, 1.0), 1, 1)
