@@ -36,6 +36,15 @@ from .exactnum import TwiceSpin, _require_int, order_dependence_phase
 MAX_REPORT_N = 20
 
 
+def _require_pair(pair: object, what: str, bad: str) -> None:
+    """TypeError naming what unless pair is a tuple or list; ValueError
+    starting with bad unless it has exactly two items."""
+    if not isinstance(pair, (tuple, list)):
+        raise TypeError(f"{what} must be a tuple or list pair, got {pair!r}")
+    if len(pair) != 2:
+        raise ValueError(f"{bad} {pair!r}")
+
+
 @dataclass(frozen=True)
 class ParityLedger:
     """Turn counts n[r][i] for order-slot r and particle i (0-based), N x N."""
@@ -91,6 +100,7 @@ def check_noninterference(
     parity: bystanders may not contribute to an exchange sign."""
     if before.n_particles != after.n_particles:
         raise ValueError("ledgers have different particle counts")
+    _require_pair(exchanged, "exchanged pair", "invalid exchanged pair")
     i, j = exchanged
     _require_int(i, "exchanged end")
     _require_int(j, "exchanged end")
@@ -109,7 +119,8 @@ class ExchangeConstraintSystem:
     slot orders; each unordered pair demands x_i XOR x_j = 1.
 
     constraints must be a Sequence, not a one-pass iterator that validation
-    would use up; every pair (i, j) must have int ends 0 <= i < j < n_vars."""
+    would use up; every item must be a tuple or list pair (i, j) with int
+    ends 0 <= i < j < n_vars."""
 
     n_vars: int
     constraints: Sequence[tuple[int, int]]
@@ -124,7 +135,9 @@ class ExchangeConstraintSystem:
                 "constraints must be a sequence of pairs, got "
                 f"{type(self.constraints).__name__}"
             )
-        for i, j in self.constraints:
+        for pair in self.constraints:
+            _require_pair(pair, "constraint", "bad constraint pair")
+            i, j = pair
             _require_int(i, "constraint end")
             _require_int(j, "constraint end")
             if not (0 <= i < j < n):

@@ -91,7 +91,10 @@ class TwiceSpin:
 
 
 def _require_supported(s: TwiceSpin) -> None:
-    """ValueError unless 2s is at most MAX_TWICE_SPIN."""
+    """TypeError unless s is a TwiceSpin; ValueError unless 2s is at most
+    MAX_TWICE_SPIN."""
+    if not isinstance(s, TwiceSpin):
+        raise TypeError(f"spin must be a TwiceSpin, got {s!r}")
     if s.twice > MAX_TWICE_SPIN:
         raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
 
@@ -127,7 +130,8 @@ def neg_one_pow(k: int) -> int:
 
 def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
     """Net sign (-1)^(sum_i n_i * 2s_i) collected when particle i's frame is
-    turned through n_i full turns; only the parities of the n_i matter."""
+    turned through n_i full turns; only the parities of the n_i matter.
+    Each n_i must be an int and each s_i a TwiceSpin (TypeError)."""
     if len(n) != len(spins):
         raise ValueError(
             f"need one turn count per particle: {len(n)} counts, {len(spins)} spins"
@@ -135,6 +139,8 @@ def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
     total = 0
     for n_i, s_i in zip(n, spins):
         _require_int(n_i, "turn count")
+        if not isinstance(s_i, TwiceSpin):
+            raise TypeError(f"spin must be a TwiceSpin, got {s_i!r}")
         total += n_i * s_i.twice
     return neg_one_pow(total)
 

@@ -286,9 +286,8 @@ def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescr
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
-    base-frame projections m' (descending): column m of wigner_D(desc.s, q),
-    evaluated from the plan of that one column, with no whole matrix built."""
-    return _evaluate(desc.s, q, desc.s.index(desc.m))
+    base-frame projections m' (descending): column m of wigner_D(desc.s, q)."""
+    return _evaluate(desc.s, q)[:, desc.s.index(desc.m)]
 
 
 def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
@@ -311,8 +310,7 @@ def assemble_pair_canonical_orderfree(
     The rotations are supplied explicitly and independently: a physically
     complete description says how each particle's frame was reached, sign
     included. Identical-content pairs land on merged (unordered) labels and
-    their amplitudes add. Each particle's column is evaluated alone, never
-    a whole D matrix.
+    their amplitudes add.
     """
     _require_noncollinear(desc_a, desc_b)
     col_a = rotate_sqf(desc_a, R_a).tolist()

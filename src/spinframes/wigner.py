@@ -12,26 +12,21 @@ Every entry is a homogeneous polynomial of degree 2s in (a, conj(a), b,
                / ((s+m-i)! i! (m'-m+i)! (s-m'-i)!)
                * a^(s+m-i) * conj(a)^(s-m'-i) * b^(m'-m+i) * (-conj(b))^i.
 
-The coefficients and exponents depend on 2s alone, so one builder lays them
-out as a flat plan of monomial terms, for the whole matrix or for one column,
-each plan built on first use and cached: at most 13 whole-matrix plans and
-91 column plans (one per column of each 2s <= 12). A column plan runs the
-same loop restricted to one column, so it holds that column's terms in the
-order the whole-matrix plan has them.
-One evaluator serves every caller: for one (2s, q) and either the whole
-matrix or one column, it fills a table of the powers 0..2s of the four
-Cayley-Klein factors by repeated products, multiplies each term's
-coefficient by its four powers, and sums the terms into their entries, in
-one numpy pass. wigner_D asks for the whole matrix; pair assembly asks for
-each particle's column, so it never builds a full matrix to read one.
+The coefficients and exponents depend on 2s alone, so they are laid out
+once per 2s, on first use, as a flat plan of monomial terms and cached: at
+most 13 plans. One evaluator serves every caller: for one (2s, q) it fills a
+table of the powers 0..2s of the four Cayley-Klein factors by repeated
+products, multiplies each term's coefficient by its four powers, and sums
+the terms into their entries, in one numpy pass. wigner_D wraps the whole
+matrix; pair assembly reads one column of it.
 
 The bits of every entry are fixed by the arithmetic's order, not only by its
 values. numpy's complex multiply can round differently from Python's scalar
 one, and from itself with the operands swapped, so each term stays coef *
 a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied as numpy arrays in that
 operand order; each entry sums its own terms in plan order; and the powers
-stay Python repeated products. A column therefore has the same bits as that
-column of the whole matrix, and a pure-Python or reordered kernel would not.
+stay Python repeated products. A pure-Python or reordered kernel would not
+give the same bits.
 
 The double-cover sign stays structural: negating q negates each factor
 exactly, a power built by repeated products picks up exactly (-1)^k, and each
@@ -67,10 +62,6 @@ from .exactnum import (
 from .rotations import UnitQuaternion
 
 
-def _cayley_klein(q: UnitQuaternion) -> tuple[complex, complex]:
-    return complex(q.w, -q.z), complex(-q.y, -q.x)
-
-
 @dataclass(frozen=True, eq=False)
 class WignerMatrix:
     """Rotation matrix D^s in the projection basis, rows/columns descending in m."""
@@ -102,12 +93,8 @@ class _Plan(NamedTuple):
 
 
 @cache
-def _plan(ts: int, col: int | None = None) -> _Plan:
-    """The terms of D^s for 2s = ts, of the whole matrix when col is None,
-    else of its column col alone, each slot then in its entry's row of a
-    (2s+1)-vector. Terms run row by row, column by column, so a column's
-    terms keep the order they have in the whole matrix. Always called
-    positionally, so that (ts,) and (ts, None) are not two cache entries."""
+def _plan(ts: int) -> _Plan:
+    """The terms of D^s for 2s = ts, row by row, column by column."""
     order = m_range(TwiceSpin(ts))
     dim = ts + 1
     slots: list[int] = []
@@ -115,8 +102,7 @@ def _plan(ts: int, col: int | None = None) -> _Plan:
     powers: list[tuple[int, int, int, int]] = []
     for row, tmp in enumerate(order):
         f_row = factorial_exact((ts + tmp) // 2) * factorial_exact((ts - tmp) // 2)
-        for c in range(dim) if col is None else (col,):
-            tm = order[c]
+        for col, tm in enumerate(order):
             f_col = factorial_exact((ts + tm) // 2) * factorial_exact((ts - tm) // 2)
             pref = sqrt(f_row * f_col)
             lo = max(0, (tm - tmp) // 2)
@@ -131,7 +117,7 @@ def _plan(ts: int, col: int | None = None) -> _Plan:
                     * factorial_exact(e_b)
                     * factorial_exact(e_ac)
                 )
-                flat = row * dim + c if col is None else row
+                flat = row * dim + col
                 slots.extend((2 * flat, 2 * flat + 1))
                 coef.append(pref / den)
                 powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
@@ -145,19 +131,17 @@ def _plan(ts: int, col: int | None = None) -> _Plan:
     return plan
 
 
-def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.ndarray:
-    """D^s(q) from one numpy pass over its plan: the whole matrix when col
-    is None, else its column at index col as a (2s+1)-vector.
-
-    Every term is coef * a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied
-    in that operand order, and every entry sums its own terms in plan
-    order, so a column equals, bit for bit, that column of the whole matrix.
-    """
+def _evaluate(s: TwiceSpin, q: UnitQuaternion) -> np.ndarray:
+    """D^s(q) as a fresh (2s+1) x (2s+1) array, from one numpy pass over
+    its plan: every term is coef * a^i * conj(a)^j * b^k * (-conj(b))^l,
+    multiplied in that operand order, and every entry sums its own terms in
+    plan order."""
     _require_supported(s)
     ts = s.twice
     dim = ts + 1
-    slots, coef, powers = _plan(ts, col)
-    a, b = _cayley_klein(q)
+    slots, coef, powers = _plan(ts)
+    # the Cayley-Klein pair of q
+    a, b = complex(q.w, -q.z), complex(-q.y, -q.x)
     pw: list[complex] = []
     # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
     for x in (a, a.conjugate(), b, -b.conjugate()):
@@ -168,9 +152,8 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion, col: int | None = None) -> np.nda
             pw.append(p)
     factors = np.array(pw, dtype=complex)[powers]
     terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
-    size = dim * dim if col is None else dim
-    out = np.bincount(slots, weights=terms.view(float), minlength=2 * size).view(complex)
-    return out.reshape(dim, dim) if col is None else out
+    out = np.bincount(slots, weights=terms.view(float), minlength=2 * dim * dim)
+    return out.view(complex).reshape(dim, dim)
 
 
 def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:

@@ -5,8 +5,8 @@ different route than the implementation under test: the reduced rotation
 matrix comes from the classic angle-based sum formula, the full rotation
 matrix from a per-entry loop over the Cayley-Klein monomials (no cached
 coefficients, no array evaluation) and, for bit-for-bit comparisons of
-whole matrices and of the single columns the package evaluates from
-one-column plans, from a whole-matrix plan kernel, Clebsch-Gordan
+whole matrices and of the columns pair assembly reads from them, from a
+whole-matrix plan kernel, Clebsch-Gordan
 coefficients from ladder-operator construction on the product space,
 composite-basis amplitudes by summing coefficient times amplitude entry by
 entry (no change-of-basis matrix), rotation matrices from the Rodrigues

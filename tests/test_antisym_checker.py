@@ -5,6 +5,7 @@ checked against an enumeration of every assignment and a depth-first
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -121,6 +122,11 @@ def test_noninterference():
         check_noninterference(before, after_ok, (1, 1))
     with pytest.raises(ValueError, match="invalid"):
         check_noninterference(before, after_ok, (0, 3))
+    # a malformed pair is named before it is unpacked
+    with pytest.raises(ValueError, match=r"invalid exchanged pair \(0, 1, 2\)"):
+        check_noninterference(before, after_ok, (0, 1, 2))
+    with pytest.raises(TypeError, match="exchanged pair must be a tuple or list pair, got 1"):
+        check_noninterference(before, after_ok, 1)
 
 
 def test_ledger_and_exchange_reject_non_int_labels():
@@ -166,6 +172,14 @@ def test_constraint_pair_validation():
         ExchangeConstraintSystem(n_vars=3, constraints=((2, 0),))
     with pytest.raises(ValueError, match="bad constraint"):
         ExchangeConstraintSystem(n_vars=3, constraints=((0, 3),))
+    # a malformed item is named before it is unpacked
+    for item in ((0,), (0, 1, 2)):
+        with pytest.raises(ValueError, match=f"bad constraint pair {re.escape(repr(item))}"):
+            ExchangeConstraintSystem(n_vars=3, constraints=[item])
+    for constraints, item in (([0, 1], 0), ("ab", "a")):
+        with pytest.raises(TypeError) as got:
+            ExchangeConstraintSystem(n_vars=3, constraints=constraints)
+        assert str(got.value) == f"constraint must be a tuple or list pair, got {item!r}"
 
 
 def test_two_particles_satisfiable_with_both_witnesses():

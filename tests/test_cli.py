@@ -132,6 +132,19 @@ def test_exchange_phase_lines():
         assert r.stdout == want
 
 
+def test_exchange_at_every_supported_spin(capsys):
+    # in process, all 338 argument sets: each sign from integer parity
+    for ta in range(13):
+        for tb in range(13):
+            for case in ("first", "second"):
+                args = ["exchange", "--sa2", str(ta), "--sb2", str(tb), "--case", case]
+                assert cli.main(args) == 0, args
+                phase = -1 if (ta if case == "first" else tb) % 2 else 1
+                discrepancy = -1 if (ta + tb) % 2 else 1
+                want = f"phase={phase:+d} case_discrepancy={discrepancy:+d}\n"
+                assert capsys.readouterr() == (want, ""), args
+
+
 def test_exclusion_lines():
     for s2, want in (("1", "0"), ("2", "0 4"), ("3", "0 4"), ("4", "0 4 8")):
         r = run_cli("exclusion", "--s2", s2)

@@ -550,20 +550,19 @@ def test_joint_basis_is_built_once_per_content_pair(monkeypatch):
     assert list(keys) == list(per_entry_amplitudes(da, db, [1] * 4, [1] * 3))
 
 
-def test_assembly_evaluates_one_column_per_particle(monkeypatch):
+def test_assembly_evaluates_one_matrix_per_particle(monkeypatch):
     calls = []
     evaluate = states._evaluate
 
-    def recorded(s, q, col=None):
-        calls.append((s.twice, col))
-        return evaluate(s, q, col)
+    def recorded(s, q):
+        calls.append(s.twice)
+        return evaluate(s, q)
 
     monkeypatch.setattr(states, "_evaluate", recorded)
     p_a, p_b = figure_pair(0.6)
     da, db = make_desc("a", p_a, 3, -1), make_desc("b", p_b, 2, 2)
     assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
-    # column index of m: 2m = -1 is the third of 3, 1, -1, -3
-    assert calls == [(3, 2), (2, 0)]
+    assert calls == [3, 2]
 
 
 def test_to_matrix_reads_any_amplitude_dict():

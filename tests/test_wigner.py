@@ -18,14 +18,19 @@ from spinframes import (
     IDENTITY,
     MAX_TWICE_SPIN,
     CGTable,
+    FrameTag,
+    ParticleDescriptor,
     TwiceSpin,
     Vec3,
     clebsch_gordan,
     compose,
     exchange_symmetry_sign,
+    exclusion_check,
     from_axis_angle,
     half_turn,
     m_range,
+    order_dependence_phase,
+    rotate_sqf,
     total_spins,
     wigner_D,
 )
@@ -101,8 +106,8 @@ def kernel_test_rotations(rng):
 
 
 def test_evaluator_is_bit_equal_to_the_plan_kernel():
-    # tobytes, so that signed zeros count: the whole matrix and every single
-    # column carry the bits of the plan kernel
+    # tobytes, so that signed zeros count: the whole matrix carries the bits
+    # of the plan kernel
     rng = random.Random(25)
     for ts in range(MAX_TWICE_SPIN + 1):
         s = TwiceSpin(ts)
@@ -110,17 +115,46 @@ def test_evaluator_is_bit_equal_to_the_plan_kernel():
             want = plan_kernel_D(ts, *q.components())
             assert wigner_D(s, q).entries.tobytes() == want.tobytes()
             assert _evaluate(s, q).tobytes() == want.tobytes()
-            for c in range(s.dim):
-                column = _evaluate(s, q, c)
+
+
+def test_rotate_sqf_is_bit_equal_to_a_column_of_the_plan_kernel():
+    # every column pair assembly reads, signed zeros included
+    rng = random.Random(26)
+    p = Vec3(0.0, 0.0, 1.0)
+    for ts in range(MAX_TWICE_SPIN + 1):
+        s = TwiceSpin(ts)
+        for q in kernel_test_rotations(rng):
+            want = plan_kernel_D(ts, *q.components())
+            for index, tm in enumerate(m_range(s)):
+                desc = ParticleDescriptor(
+                    Q="u", p=p, s=s, m=tm, base=FrameTag.CANONICAL, R_BS=IDENTITY
+                )
+                column = rotate_sqf(desc, q)
                 assert column.shape == (s.dim,)
-                assert column.tobytes() == np.ascontiguousarray(want[:, c]).tobytes()
+                assert column.tobytes() == np.ascontiguousarray(want[:, index]).tobytes()
 
 
 def test_evaluator_checks_the_spin():
     big = TwiceSpin(MAX_TWICE_SPIN + 1)
-    for col in (None, 0):
-        with pytest.raises(ValueError, match="exceeds supported maximum"):
-            _evaluate(big, IDENTITY, col)
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        _evaluate(big, IDENTITY)
+
+
+def test_spin_entry_points_name_a_spin_that_is_not_a_twice_spin():
+    calls = (
+        lambda v: wigner_D(v, IDENTITY),
+        lambda v: CGTable(v, v),
+        lambda v: CGTable(TwiceSpin(1), v),
+        lambda v: clebsch_gordan(v, v, 1, 1, TwiceSpin(2), 2),
+        exclusion_check,
+        lambda v: order_dependence_phase([1], [v]),
+        lambda v: order_dependence_phase([1, 1], [TwiceSpin(1), v]),
+    )
+    for call in calls:
+        for bad in (1, 1.0):
+            with pytest.raises(TypeError) as got:
+                call(bad)
+            assert str(got.value) == f"spin must be a TwiceSpin, got {bad!r}"
 
 
 def test_double_cover_sign_random():
