@@ -3,15 +3,15 @@
 Rotations are unit quaternions with q and -q kept distinct, spin labels are
 doubled integers, and spin-s rotation matrices are evaluated so the
 (-1)^(2s) sign of a full turn comes out of the arithmetic rather than a
-convention switch. On top of that sit helicity-frame geometry for
-back-to-back pairs, order-free and order-dependent pair state descriptions
-with their exchange phases, composite-spin projection with the even-S
-exclusion rule, and the parity-ledger argument that universal pairwise
+convention switch. On top of that sit helicity-frame geometry, pair state
+descriptions with their exchange phases, composite-spin projection with the
+even-S exclusion rule, and the parity-ledger argument that universal pairwise
 antisymmetrization cannot be a convention for three or more particles.
 
-Importing the package loads none of its modules: each public name is
-imported from its home module on first use (PEP 562), so a command-line
-process loads only what its subcommand needs.
+__all__ is the public surface; every other name is importable from its
+home module only. A wrong-typed argument is a TypeError naming it, a bad
+value a ValueError. Importing the package loads no module: each public name
+is imported on first use (PEP 562), so a report loads only what it needs.
 """
 
 import importlib
@@ -26,20 +26,11 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "antisym_checker": (
-        "ExchangeConstraintSystem",
-        "ParityLedger",
-        "SatResult",
         "build_constraints",
-        "check_noninterference",
-        "exchange_sign",
         "exhaustive_satisfiable",
         "impossibility_report",
-        "n2_only_pattern",
-        "report_lines",
     ),
     "composite": (
-        "CompositeProjection",
-        "PairSpinOperator",
         "build_pair_spin_operator",
         "max_commuting_pairset",
         "project_composite",
@@ -48,14 +39,10 @@ _HOMES = {
     "exactnum": (
         "EPS",
         "MAX_TWICE_SPIN",
-        "N_FACT",
         "TwiceSpin",
         "exchange_symmetry_sign",
         "exclusion_check",
-        "factorial_exact",
-        "fmt15",
         "m_range",
-        "neg_one_pow",
         "order_dependence_phase",
         "pseudo_antisymmetry_sign",
         "total_spins",
@@ -63,9 +50,7 @@ _HOMES = {
     "frames": (
         "CollinearMomentaError",
         "FrameMismatchError",
-        "HelicityFrame",
         "bisector_axis",
-        "cm_polar_relation",
         "helicity_frame",
         "relative_rotation",
     ),
@@ -75,11 +60,8 @@ _HOMES = {
         "UnitQuaternion",
         "Vec3",
         "compose",
-        "frame_to_quaternion",
         "from_axis_angle",
         "half_turn",
-        "inverse",
-        "quaternion_close",
         "to_matrix3",
     ),
     "states": (
@@ -95,7 +77,7 @@ _HOMES = {
         "pure_permute",
         "rotate_sqf",
     ),
-    "wigner": ("CGTable", "WignerMatrix", "clebsch_gordan", "wigner_D"),
+    "wigner": ("CGTable", "clebsch_gordan", "wigner_D"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

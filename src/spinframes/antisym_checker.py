@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .exactnum import TwiceSpin, _require_int, order_dependence_phase
+from .exactnum import TwiceSpin, _require_instance, order_dependence_phase
 
 # Largest N of the impossibility report: a scale guard on the report's
 # rows. The rows come from one parity forest grown to N particles, which
@@ -39,8 +39,7 @@ MAX_REPORT_N = 20
 def _require_pair(pair: object, what: str, bad: str) -> None:
     """TypeError naming what unless pair is a tuple or list; ValueError
     starting with bad unless it has exactly two items."""
-    if not isinstance(pair, (tuple, list)):
-        raise TypeError(f"{what} must be a tuple or list pair, got {pair!r}")
+    _require_instance(pair, (tuple, list), what + " must be a tuple or list pair, got {value!r}")
     if len(pair) != 2:
         raise ValueError(f"{bad} {pair!r}")
 
@@ -53,10 +52,10 @@ class ParityLedger:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _require_int(self.n_particles, "n_particles")
+        _require_instance(self.n_particles, int, "n_particles must be an int, got {value!r}")
         for row in self.table:
             for turns in row:
-                _require_int(turns, "turn count")
+                _require_instance(turns, int, "turn count must be an int, got {value!r}")
         if len(self.table) != self.n_particles or any(
             len(row) != self.n_particles for row in self.table
         ):
@@ -73,7 +72,7 @@ class ParityLedger:
     def particle_total(self, i: int) -> int:
         """Net turn count of particle i (0 <= i < n_particles), summed over
         slots."""
-        _require_int(i, "particle index")
+        _require_instance(i, int, "particle index must be an int, got {value!r}")
         if not 0 <= i < self.n_particles:
             raise ValueError(f"particle index {i} outside [0, {self.n_particles})")
         return sum(row[i] for row in self.table)
@@ -102,8 +101,8 @@ def check_noninterference(
         raise ValueError("ledgers have different particle counts")
     _require_pair(exchanged, "exchanged pair", "invalid exchanged pair")
     i, j = exchanged
-    _require_int(i, "exchanged end")
-    _require_int(j, "exchanged end")
+    _require_instance(i, int, "exchanged end must be an int, got {value!r}")
+    _require_instance(j, int, "exchanged end must be an int, got {value!r}")
     if i == j or not (0 <= i < before.n_particles and 0 <= j < before.n_particles):
         raise ValueError(f"invalid exchanged pair {exchanged!r}")
     return all(
@@ -127,19 +126,17 @@ class ExchangeConstraintSystem:
 
     def __post_init__(self) -> None:
         n = self.n_vars
-        _require_int(n, "n_vars")
+        _require_instance(n, int, "n_vars must be an int, got {value!r}")
         if n < 0:
             raise ValueError(f"n_vars must be non-negative, got {n}")
-        if not isinstance(self.constraints, Sequence):
-            raise TypeError(
-                "constraints must be a sequence of pairs, got "
-                f"{type(self.constraints).__name__}"
-            )
+        _require_instance(
+            self.constraints, Sequence, "constraints must be a sequence of pairs, got {type}"
+        )
         for pair in self.constraints:
             _require_pair(pair, "constraint", "bad constraint pair")
             i, j = pair
-            _require_int(i, "constraint end")
-            _require_int(j, "constraint end")
+            _require_instance(i, int, "constraint end must be an int, got {value!r}")
+            _require_instance(j, int, "constraint end must be an int, got {value!r}")
             if not (0 <= i < j < n):
                 raise ValueError(f"bad constraint pair ({i}, {j})")
 
@@ -147,7 +144,7 @@ class ExchangeConstraintSystem:
 def build_constraints(n_particles: int) -> ExchangeConstraintSystem:
     """One XOR-inequality per unordered particle pair: N(N-1)/2 in all, as a
     tuple in lexicographic order."""
-    _require_int(n_particles, "n_particles")
+    _require_instance(n_particles, int, "n_particles must be an int, got {value!r}")
     if n_particles < 2:
         raise ValueError(f"need at least two particles, got {n_particles}")
     return ExchangeConstraintSystem(
@@ -238,6 +235,9 @@ def exhaustive_satisfiable(system: ExchangeConstraintSystem) -> SatResult:
     solutions. The witness colours every tree so that its highest-index
     variable is 0: the least solution read as the integer sum x_i 2^i.
     """
+    _require_instance(
+        system, ExchangeConstraintSystem, "system must be an ExchangeConstraintSystem, got {type}"
+    )
     n = system.n_vars
     forest = _ParityForest(n)
     join = forest.join
@@ -267,7 +267,7 @@ def impossibility_report(n_max: int) -> list[tuple[int, bool, int]]:
     exhaustive_satisfiable(build_constraints(N)) for each N, at O(n_max)
     work for the whole report.
     """
-    _require_int(n_max, "N_max")
+    _require_instance(n_max, int, "N_max must be an int, got {value!r}")
     if not 2 <= n_max <= MAX_REPORT_N:
         raise ValueError(f"N_max={n_max} outside [2, {MAX_REPORT_N}]")
     forest = _ParityForest(1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import (
-    EPS, TwiceSpin, _require_int, fmt15, m_range, order_dependence_phase
+    EPS, TwiceSpin, _require_instance, fmt15, m_range, order_dependence_phase
 )
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
@@ -78,6 +78,7 @@ def project_composite(
     bits agree. The change of basis is unitary, so the channel weights sum
     to 1 for a normalized input.
     """
+    _require_instance(state, PairState, "state must be a PairState, got {type}")
     s_a, s_b = state.desc_a.s, state.desc_b.s
     if isinstance(route, int) and not isinstance(route, bool):
         d_b = wigner_D(s_b, half_turn(state.bisector, route)).entries
@@ -118,7 +119,10 @@ def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
     For half-integer s this looks like antisymmetrization, for integer s like
     symmetrization; both keep exactly the even-S coupling channels.
     """
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     _require_amplitude_matrix(psi, "psi", (s.dim, s.dim))
+    if psi.dtype.kind in "iu":
+        psi = psi.astype(float)  # the sum below would wrap around in an int dtype
     out = psi + order_dependence_phase([1], [s]) * psi.T
     norm = np.linalg.norm(out)
     if norm < EPS:
@@ -168,14 +172,15 @@ def build_pair_spin_operator(
     Hermitian by construction; its spectrum is S(S+1) over the coupling range
     of |subset| spins s.
     """
-    _require_int(n_particles, "N")
+    _require_instance(n_particles, int, "N must be an int, got {value!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     if n_particles > MAX_OPERATOR_PARTICLES:
         raise ValueError(f"N={n_particles} exceeds bound {MAX_OPERATOR_PARTICLES}")
     if s.twice > MAX_OPERATOR_TWICE_SPIN:
         raise ValueError(f"2s={s.twice} exceeds bound {MAX_OPERATOR_TWICE_SPIN}")
     subset = frozenset(subset)
     for label in subset:
-        _require_int(label, "subset label")
+        _require_instance(label, int, "subset label must be an int, got {value!r}")
     if len(subset) < 2:
         raise ValueError("subset must contain at least two particles")
     if not subset <= set(range(1, n_particles + 1)):
@@ -210,7 +215,8 @@ def max_commuting_pairset(n_particles: int, s: TwiceSpin) -> int:
     family would need. For s = 0 every operator is zero and all 2^N - N - 1
     subsets commute.
     """
-    _require_int(n_particles, "N")
+    _require_instance(n_particles, int, "N must be an int, got {value!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     if n_particles < 0:
         raise ValueError(f"N must be non-negative, got {n_particles}")
     if s.twice == 0:

@@ -36,10 +36,11 @@ N_FACT = 40
 MAX_TWICE_SPIN = 12
 
 
-def _require_int(value: object, what: str) -> None:
-    """TypeError naming what unless value is an int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {value!r}")
+def _require_instance(value: object, kind: type | tuple[type, ...], what: str) -> None:
+    """The package's one type check: TypeError unless value is an instance of
+    kind and not a bool, its message what formatted with {value} and {type}."""
+    if not isinstance(value, kind) or value is True or value is False:
+        raise TypeError(what.format(value=value, type=type(value).__name__))
 
 
 @dataclass(frozen=True, order=True)
@@ -49,7 +50,7 @@ class TwiceSpin:
     twice: int
 
     def __post_init__(self) -> None:
-        _require_int(self.twice, "twice-spin")
+        _require_instance(self.twice, int, "twice-spin must be an int, got {value!r}")
         if self.twice < 0:
             raise ValueError(f"twice-spin must be >= 0, got {self.twice}")
 
@@ -70,7 +71,7 @@ class TwiceSpin:
         """twice_m, checked as a projection 2m of this spin; the one check a
         projection label gets. TypeError unless an int; ValueError if
         |2m| > 2s or if 2m and 2s differ in parity."""
-        _require_int(twice_m, "twice-m")
+        _require_instance(twice_m, int, "twice-m must be an int, got {value!r}")
         if abs(twice_m) > self.twice:
             raise ValueError(f"|2m|={abs(twice_m)} exceeds 2s={self.twice}")
         if (twice_m - self.twice) % 2 != 0:
@@ -93,15 +94,14 @@ class TwiceSpin:
 def _require_supported(s: TwiceSpin) -> None:
     """TypeError unless s is a TwiceSpin; ValueError unless 2s is at most
     MAX_TWICE_SPIN."""
-    if not isinstance(s, TwiceSpin):
-        raise TypeError(f"spin must be a TwiceSpin, got {s!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     if s.twice > MAX_TWICE_SPIN:
         raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
 
 
 def factorial_exact(n: int) -> int:
     """n! as an exact integer; n must lie in [0, N_FACT]."""
-    _require_int(n, "factorial argument")
+    _require_instance(n, int, "factorial argument must be an int, got {value!r}")
     if n < 0 or n > N_FACT:
         raise ValueError(f"factorial argument {n} outside [0, {N_FACT}]")
     return math.factorial(n)
@@ -112,6 +112,7 @@ def m_range(s: TwiceSpin) -> list[int]:
 
     Every matrix in this package indexes its rows and columns in this order.
     """
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     return list(range(s.twice, -s.twice - 1, -2))
 
 
@@ -119,12 +120,14 @@ def total_spins(s1: TwiceSpin, s2: TwiceSpin) -> range:
     """The doubled total spins 2S that s1 and s2 couple to, ascending: the
     triangle rule |s1 - s2| <= S <= s1 + s2, with 2S of the parity of
     2s1 + 2s2. A range, so a membership test costs no list."""
+    _require_instance(s1, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(s2, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
     return range(abs(s1.twice - s2.twice), s1.twice + s2.twice + 1, 2)
 
 
 def neg_one_pow(k: int) -> int:
     """(-1)**k for any integer k, computed by parity."""
-    _require_int(k, "exponent")
+    _require_instance(k, int, "exponent must be an int, got {value!r}")
     return 1 if k % 2 == 0 else -1
 
 
@@ -138,9 +141,8 @@ def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
         )
     total = 0
     for n_i, s_i in zip(n, spins):
-        _require_int(n_i, "turn count")
-        if not isinstance(s_i, TwiceSpin):
-            raise TypeError(f"spin must be a TwiceSpin, got {s_i!r}")
+        _require_instance(n_i, int, "turn count must be an int, got {value!r}")
+        _require_instance(s_i, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
         total += n_i * s_i.twice
     return neg_one_pow(total)
 
@@ -152,6 +154,7 @@ def exchange_symmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:
     Follows from the coefficient symmetry <s m2; s m1 | S M> =
     (-1)^(2s - S) <s m1; s m2 | S M>; independent of M.
     """
+    _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
     if S.twice not in total_spins(s, s):
         raise ValueError(
             f"2S={S.twice} is not a valid total spin for two spin {s} particles"

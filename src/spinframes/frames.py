@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .exactnum import _require_instance
 from .rotations import (
     EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, half_turn, to_matrix3,
 )
@@ -127,6 +128,8 @@ def relative_rotation(
     frame_from onto frame_to, i.e. the frames are not the two sides of one
     momentum pair.
     """
+    _require_instance(frame_from, HelicityFrame, "frame_from must be a HelicityFrame, got {type}")
+    _require_instance(frame_to, HelicityFrame, "frame_to must be a HelicityFrame, got {type}")
     q = half_turn(bisector_axis(frame_from.zhat, frame_to.zhat), sheet)
     if _frame_residual(q, frame_from, frame_to) > EPS_GEOM:
         raise FrameMismatchError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, _require_int
+from .exactnum import EPS, _require_instance
 
 # Geometry comparisons (frame orthonormality, matrix residuals) run at a
 # looser tolerance than the algebraic EPS.
@@ -102,7 +102,8 @@ def _pow2_scaled(p: Vec3) -> Vec3:
 
 
 def _require_finite(v: Vec3, what: str) -> None:
-    """ValueError naming what and its components unless v is finite."""
+    """TypeError naming what unless v is a Vec3, ValueError unless finite."""
+    _require_instance(v, Vec3, what + " must be a Vec3, got {value!r}")
     if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):
         raise ValueError(f"{what} {v.x!r},{v.y!r},{v.z!r} is not finite")
 
@@ -136,7 +137,8 @@ def half_turn(axis: Vec3, sheet: int) -> UnitQuaternion:
     double-cover sign laws downstream need bit for bit. The caller supplies
     a unit axis. There is no default sheet, and bool is not accepted as one.
     """
-    _require_int(sheet, "sheet")
+    _require_instance(axis, Vec3, "axis must be a Vec3, got {value!r}")
+    _require_instance(sheet, int, "sheet must be an int, got {value!r}")
     if sheet not in (1, -1):
         raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
     return UnitQuaternion(0.0, sheet * axis.x, sheet * axis.y, sheet * axis.z)
@@ -148,6 +150,8 @@ def compose(q1: UnitQuaternion, q2: UnitQuaternion) -> UnitQuaternion:
     Renormalization divides by a positive scalar, so the double-cover sign of
     the product is untouched.
     """
+    _require_instance(q1, UnitQuaternion, "q1 must be a UnitQuaternion, got {value!r}")
+    _require_instance(q2, UnitQuaternion, "q2 must be a UnitQuaternion, got {value!r}")
     w = q1.w * q2.w - q1.x * q2.x - q1.y * q2.y - q1.z * q2.z
     x = q1.w * q2.x + q1.x * q2.w + q1.y * q2.z - q1.z * q2.y
     y = q1.w * q2.y - q1.x * q2.z + q1.y * q2.w + q1.z * q2.x
@@ -166,6 +170,7 @@ def to_matrix3(q: UnitQuaternion) -> np.ndarray:
 
     This is the two-to-one covering map: to_matrix3(q) == to_matrix3(-q).
     """
+    _require_instance(q, UnitQuaternion, "q must be a UnitQuaternion, got {value!r}")
     w, x, y, z = q.w, q.x, q.y, q.z
     return np.array(
         [

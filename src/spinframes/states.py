@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exactnum import EPS, TwiceSpin, fmt15, m_range, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, _require_instance, fmt15, m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
 from .wigner import _evaluate
@@ -46,13 +46,6 @@ class ExchangeCase(enum.Enum):
 
     FIRST = "FIRST"
     SECOND = "SECOND"
-
-
-# The descriptor fields a wrong type would otherwise reach as an
-# AttributeError naming no field; m is checked by TwiceSpin.component.
-_FIELD_TYPES = (
-    ("Q", str), ("p", Vec3), ("s", TwiceSpin), ("base", FrameTag), ("R_BS", UnitQuaternion)
-)
 
 
 @dataclass(frozen=True)
@@ -76,10 +69,12 @@ class ParticleDescriptor:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, kind in _FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        # every field is checked before any is used; m by TwiceSpin.component
+        _require_instance(self.Q, str, "Q must be a str, got {type}")
+        _require_instance(self.p, Vec3, "p must be a Vec3, got {type}")
+        _require_instance(self.s, TwiceSpin, "s must be a TwiceSpin, got {type}")
+        _require_instance(self.base, FrameTag, "base must be a FrameTag, got {type}")
+        _require_instance(self.R_BS, UnitQuaternion, "R_BS must be a UnitQuaternion, got {type}")
         self.s.component(self.m)
         _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
@@ -108,6 +103,12 @@ class ParticleDescriptor:
             f"Q={self.Q} p={px},{py},{pz} 2s={self.s.twice} 2m={self.m} "
             f"base={self.base.value} R_BS={rw},{rx},{ry},{rz}"
         )
+
+
+def _require_descriptors(desc_a: object, desc_b: object) -> None:
+    """TypeError naming desc_a or desc_b unless it is a ParticleDescriptor."""
+    _require_instance(desc_a, ParticleDescriptor, "desc_a must be a ParticleDescriptor, got {type}")
+    _require_instance(desc_b, ParticleDescriptor, "desc_b must be a ParticleDescriptor, got {type}")
 
 
 # A single-particle basis label: (content key, doubled helicity).
@@ -154,6 +155,7 @@ class PairState:
     amplitudes: dict[_JointKey, complex]
 
     def __post_init__(self) -> None:
+        _require_descriptors(self.desc_a, self.desc_b)
         if self.desc_b.sort_key() < self.desc_a.sort_key():
             a, b = self.desc_b, self.desc_a
             object.__setattr__(self, "desc_a", a)
@@ -255,6 +257,8 @@ class OrderedDescription:
 
     def __init__(self, slots: list[ParticleDescriptor] | tuple[ParticleDescriptor, ...]) -> None:
         slots = tuple(slots)
+        for slot in slots:
+            _require_instance(slot, ParticleDescriptor, "slot must be a ParticleDescriptor, got {type}")
         if len(slots) < 1:
             raise ValueError("ordered description needs at least one slot")
         derived = [slots[0]]
@@ -287,6 +291,7 @@ def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescr
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     """Coefficient column expanding |m along the frame reached by q> over the
     base-frame projections m' (descending): column m of wigner_D(desc.s, q)."""
+    _require_instance(desc, ParticleDescriptor, "desc must be a ParticleDescriptor, got {type}")
     return _evaluate(desc.s, q)[:, desc.s.index(desc.m)]
 
 
@@ -312,6 +317,7 @@ def assemble_pair_canonical_orderfree(
     included. Identical-content pairs land on merged (unordered) labels and
     their amplitudes add.
     """
+    _require_descriptors(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
     col_a = rotate_sqf(desc_a, R_a).tolist()
     col_b = rotate_sqf(desc_b, R_b).tolist()
@@ -328,8 +334,7 @@ def _require_amplitude_matrix(matrix: object, what: str, shape: tuple[int, int])
     (signed or unsigned int, float or complex; not bool, str, object or
     timedelta); ValueError unless its shape is exactly shape and every
     entry is finite."""
-    if not isinstance(matrix, np.ndarray):
-        raise TypeError(f"{what} must be a numpy array, got {type(matrix).__name__}")
+    _require_instance(matrix, np.ndarray, what + " must be a numpy array, got {type}")
     # a tenth of the cost of np.issubdtype(dtype, np.number), which would
     # also pass timedelta64
     if matrix.dtype.kind not in "iufc":
@@ -360,6 +365,7 @@ def pair_state_from_matrix(
     For building superpositions directly; contents must be distinct so the
     matrix rows/columns attach unambiguously to the two particles.
     """
+    _require_descriptors(desc_a, desc_b)
     _require_amplitude_matrix(matrix, "matrix", (desc_a.s.dim, desc_b.s.dim))
     _require_distinct_content(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
@@ -375,6 +381,7 @@ def pure_permute(state: PairState) -> PairState:
     canonical content order, so this rebuild returns a state equal to its
     input: pure permutation of an order-free description is the identity.
     """
+    _require_instance(state, PairState, "state must be a PairState, got {type}")
     return PairState(
         desc_a=state.desc_b,
         desc_b=state.desc_a,
@@ -383,7 +390,8 @@ def pure_permute(state: PairState) -> PairState:
 
 
 def _two_slots(ordered: OrderedDescription, what: str) -> tuple[ParticleDescriptor, ...]:
-    """ordered's two slots; ValueError naming what unless there are two."""
+    """ordered's slots: TypeError unless an OrderedDescription, ValueError unless two."""
+    _require_instance(ordered, OrderedDescription, "ordered must be an OrderedDescription, got {type}")
     if len(ordered.slots) != 2:
         raise ValueError(f"{what} needs exactly two slots, got {len(ordered.slots)}")
     return ordered.slots
@@ -410,15 +418,14 @@ def exchange_order_dependent(
     assembled original within EPS. The cases differ by (-1)^(2s_a + 2s_b).
     """
     d1, d2 = _two_slots(ordered, "exchange")
+    _require_instance(case, ExchangeCase, "case must be an ExchangeCase, got {value!r}")
     r21 = ordered.half_turns[0]
     if case is ExchangeCase.FIRST:
         first = d2  # keeps its rotation, compose(d1.R_BS, r21)
         turns = [1, 0]
-    elif case is ExchangeCase.SECOND:
+    else:
         first = _with_rotation(d2, compose(d1.R_BS, inverse(r21)))
         turns = [0, 1]
-    else:
-        raise ValueError(f"unknown exchange case {case!r}")
     # the exchanged pair has the same bisector, so its half-turn is r21
     second = _follow(first, d1, r21)
     state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)

@@ -10,17 +10,19 @@ import re
 import pytest
 
 from spinframes import (
+    TwiceSpin,
+    build_constraints,
+    exhaustive_satisfiable,
+    impossibility_report,
+    order_dependence_phase,
+)
+from spinframes.antisym_checker import (
     ExchangeConstraintSystem,
     ParityLedger,
     SatResult,
-    TwiceSpin,
-    build_constraints,
     check_noninterference,
     exchange_sign,
-    exhaustive_satisfiable,
-    impossibility_report,
     n2_only_pattern,
-    order_dependence_phase,
     report_lines,
 )
 from spinframes import antisym_checker

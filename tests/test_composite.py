@@ -395,6 +395,30 @@ def test_amplitude_matrices_must_hold_numbers():
         pseudo_antisymmetrize(np.triu(np.ones((2, 2), dtype=dtype)), HALF)
 
 
+def test_pseudo_antisymmetrize_of_an_int_array_is_that_of_its_float_cast():
+    # the sum used to run in the input's own dtype: int8 wrapped around
+    # (100 + 100 read as -56) and uint8 raised numpy's OverflowError for -1
+    cases = (
+        ([[100, 1, 0], [0, 0, 0], [0, 0, 0]], ONE),
+        ([[0, 1], [0, 0]], HALF),
+        ([[127, 3], [90, 0]], HALF),
+        ([[0, 200, 7, 1], [250, 0, 0, 5], [3, 0, 9, 0], [0, 1, 0, 255]], TwiceSpin(3)),
+    )
+    for rows, s in cases:
+        for dtype in (np.int8, np.int64, np.uint8):
+            values = np.array(rows)
+            if values.max() > np.iinfo(dtype).max:
+                continue
+            psi = values.astype(dtype)
+            got = pseudo_antisymmetrize(psi, s)
+            want = pseudo_antisymmetrize(psi.astype(np.float64), s)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (dtype, rows)
+    # float and complex inputs keep their own dtype
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        assert pseudo_antisymmetrize(np.triu(np.ones((2, 2), dtype=dtype)), HALF).dtype == dtype
+
+
 def test_projections_do_not_share_amplitudes():
     rng = random.Random(58)
     da, db = slot_pair(3, 2)

@@ -10,17 +10,14 @@ import pytest
 import spinframes
 from spinframes import (
     MAX_TWICE_SPIN,
-    N_FACT,
     TwiceSpin,
     Vec3,
-    factorial_exact,
-    fmt15,
     half_turn,
     m_range,
-    neg_one_pow,
     order_dependence_phase,
     total_spins,
 )
+from spinframes.exactnum import N_FACT, factorial_exact, fmt15, neg_one_pow
 from spinframes import cli, composite, exactnum, states
 
 

@@ -11,14 +11,13 @@ from spinframes import (
     EPS_GEOM,
     CollinearMomentaError,
     FrameMismatchError,
-    HelicityFrame,
     Vec3,
     bisector_axis,
-    cm_polar_relation,
     helicity_frame,
     relative_rotation,
     to_matrix3,
 )
+from spinframes.frames import HelicityFrame, cm_polar_relation
 from util import figure_pair, rand_noncollinear_pair
 
 S45 = math.sin(math.pi / 4.0)

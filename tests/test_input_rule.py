@@ -1,0 +1,188 @@
+"""The package's one input rule, pinned over its whole public surface: a
+wrong-typed argument to any public callable is a TypeError whose message
+starts with the argument's name."""
+
+import math
+
+import numpy as np
+import pytest
+
+import spinframes
+from spinframes import (
+    IDENTITY,
+    CGTable,
+    ExchangeCase,
+    FrameTag,
+    OrderedDescription,
+    PairState,
+    ParticleDescriptor,
+    TwiceSpin,
+    Vec3,
+    assemble_ordered,
+    assemble_pair_canonical_orderfree,
+    bisector_axis,
+    build_constraints,
+    build_pair_spin_operator,
+    clebsch_gordan,
+    compose,
+    exchange_order_dependent,
+    exchange_symmetry_sign,
+    exclusion_check,
+    exhaustive_satisfiable,
+    from_axis_angle,
+    half_turn,
+    helicity_frame,
+    impossibility_report,
+    m_range,
+    max_commuting_pairset,
+    order_dependence_phase,
+    pair_state_from_matrix,
+    project_composite,
+    pseudo_antisymmetrize,
+    pseudo_antisymmetry_sign,
+    pure_permute,
+    relative_rotation,
+    rotate_sqf,
+    to_matrix3,
+    total_spins,
+    wigner_D,
+)
+from util import figure_pair
+
+HALF = TwiceSpin(1)
+ONE = TwiceSpin(2)
+ZHAT = Vec3(0.0, 0.0, 1.0)
+P_A, P_B = figure_pair(math.pi / 4.0)
+# the shapes a wrong argument usually takes: a plain number for a package
+# type, and a tuple of the components a Vec3 or UnitQuaternion would hold
+QUAT = (1.0, 0.0, 0.0, 0.0)
+VEC = (0.0, 0.0, 1.0)
+
+EXEMPT = (
+    # constants
+    "EPS", "EPS_GEOM", "MAX_TWICE_SPIN", "IDENTITY",
+    # enums and exception types
+    "ExchangeCase", "FrameTag", "CollinearMomentaError", "FrameMismatchError",
+    # value types: their components are plain numbers, not type-checked, as
+    # the package builds tens of them per pair operation; every Vec3 or
+    # UnitQuaternion argument is checked where it enters (rows below)
+    "Vec3", "UnitQuaternion",
+)
+
+
+def desc(q="a", p=P_A, s=HALF, m=1, base=FrameTag.CANONICAL, r=IDENTITY):
+    return ParticleDescriptor(Q=q, p=p, s=s, m=m, base=base, R_BS=r)
+
+
+def ordered():
+    return OrderedDescription([desc("u", P_A), desc("u", P_B)])
+
+
+def state():
+    return assemble_pair_canonical_orderfree(desc("a"), desc("b", P_B), IDENTITY, IDENTITY)
+
+
+def frames():
+    return helicity_frame(P_A, P_B), helicity_frame(P_B, P_A)
+
+
+# (public callable, the argument's name in the message, the call)
+ROWS = (
+    ("TwiceSpin", "twice-spin", lambda: TwiceSpin(1.0)),
+    ("m_range", "spin", lambda: m_range(1)),
+    ("total_spins", "spin", lambda: total_spins(1, HALF)),
+    ("total_spins", "spin", lambda: total_spins(HALF, 1.0)),
+    ("order_dependence_phase", "turn count", lambda: order_dependence_phase([1.0], [HALF])),
+    ("order_dependence_phase", "spin", lambda: order_dependence_phase([1], [1])),
+    ("exchange_symmetry_sign", "spin", lambda: exchange_symmetry_sign(1, ONE)),
+    ("exchange_symmetry_sign", "S", lambda: exchange_symmetry_sign(HALF, 2)),
+    ("pseudo_antisymmetry_sign", "spin", lambda: pseudo_antisymmetry_sign(1, ONE)),
+    ("pseudo_antisymmetry_sign", "S", lambda: pseudo_antisymmetry_sign(HALF, 2)),
+    ("exclusion_check", "spin", lambda: exclusion_check(3)),
+    ("compose", "q1", lambda: compose(QUAT, IDENTITY)),
+    ("compose", "q2", lambda: compose(IDENTITY, QUAT)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(VEC, 1.0)),
+    ("half_turn", "axis", lambda: half_turn(VEC, 1)),
+    ("half_turn", "sheet", lambda: half_turn(ZHAT, 1.0)),
+    ("to_matrix3", "q", lambda: to_matrix3(QUAT)),
+    ("wigner_D", "spin", lambda: wigner_D(1, IDENTITY)),
+    ("wigner_D", "rotation", lambda: wigner_D(HALF, QUAT)),
+    ("CGTable", "spin", lambda: CGTable(HALF, 1)),
+    ("CGTable.coefficient", "twice-m", lambda: CGTable(HALF, HALF).coefficient(1.0, 1, ONE, 2)),
+    ("CGTable.coefficient", "twice-m", lambda: CGTable(HALF, HALF).coefficient(1, None, ONE, 2)),
+    ("CGTable.coefficient", "S", lambda: CGTable(HALF, HALF).coefficient(1, 1, 2, 2)),
+    ("CGTable.coefficient", "twice-m", lambda: CGTable(HALF, HALF).coefficient(1, 1, ONE, 2.0)),
+    ("clebsch_gordan", "spin", lambda: clebsch_gordan(1, HALF, 1, 1, ONE, 2)),
+    ("clebsch_gordan", "S", lambda: clebsch_gordan(HALF, HALF, 1, 1, 2, 2)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(VEC, P_B)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(P_A, None)),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, VEC)),
+    ("relative_rotation", "frame_from", lambda: relative_rotation(ZHAT, frames()[0], 1)),
+    ("relative_rotation", "frame_to", lambda: relative_rotation(frames()[1], QUAT, 1)),
+    ("relative_rotation", "sheet", lambda: relative_rotation(*frames(), True)),
+    ("ParticleDescriptor", "Q", lambda: desc(q=1)),
+    ("ParticleDescriptor", "p", lambda: desc(p=VEC)),
+    ("ParticleDescriptor", "s", lambda: desc(s=1)),
+    ("ParticleDescriptor", "twice-m", lambda: desc(m=1.0)),
+    ("ParticleDescriptor", "base", lambda: desc(base="CANONICAL")),
+    ("ParticleDescriptor", "R_BS", lambda: desc(r=QUAT)),
+    ("PairState", "desc_a", lambda: PairState(desc_a=None, desc_b=desc(), amplitudes={})),
+    ("PairState", "desc_b", lambda: PairState(desc_a=desc(), desc_b=1, amplitudes={})),
+    ("OrderedDescription", "slot", lambda: OrderedDescription([desc(), "b"])),
+    ("OrderedDescription", "slot", lambda: OrderedDescription([P_A])),
+    ("rotate_sqf", "desc", lambda: rotate_sqf(HALF, IDENTITY)),
+    ("rotate_sqf", "rotation", lambda: rotate_sqf(desc(), QUAT)),
+    (
+        "assemble_pair_canonical_orderfree", "desc_a",
+        lambda: assemble_pair_canonical_orderfree(1, desc(), IDENTITY, IDENTITY),
+    ),
+    (
+        "assemble_pair_canonical_orderfree", "desc_b",
+        lambda: assemble_pair_canonical_orderfree(desc(), None, IDENTITY, IDENTITY),
+    ),
+    (
+        "assemble_pair_canonical_orderfree", "rotation",
+        lambda: assemble_pair_canonical_orderfree(desc("a"), desc("b"), IDENTITY, QUAT),
+    ),
+    ("assemble_ordered", "ordered", lambda: assemble_ordered([desc("u", P_A), desc("u", P_B)])),
+    ("exchange_order_dependent", "ordered", lambda: exchange_order_dependent(1, ExchangeCase.FIRST)),
+    ("exchange_order_dependent", "case", lambda: exchange_order_dependent(ordered(), "FIRST")),
+    ("pair_state_from_matrix", "desc_a", lambda: pair_state_from_matrix(1, desc(), np.eye(2))),
+    ("pair_state_from_matrix", "desc_b", lambda: pair_state_from_matrix(desc(), 1, np.eye(2))),
+    (
+        "pair_state_from_matrix", "matrix",
+        lambda: pair_state_from_matrix(desc("a"), desc("b"), [[1.0, 0.0], [0.0, 0.0]]),
+    ),
+    ("pure_permute", "state", lambda: pure_permute(None)),
+    ("project_composite", "state", lambda: project_composite(None, 1)),
+    ("project_composite", "route", lambda: project_composite(state(), 1.0)),
+    ("pseudo_antisymmetrize", "psi", lambda: pseudo_antisymmetrize([[0, 1], [0, 0]], HALF)),
+    ("pseudo_antisymmetrize", "spin", lambda: pseudo_antisymmetrize(np.eye(2), 1)),
+    ("build_pair_spin_operator", "N", lambda: build_pair_spin_operator(3.0, HALF, {1, 2})),
+    ("build_pair_spin_operator", "spin", lambda: build_pair_spin_operator(3, 1, {1, 2})),
+    ("build_pair_spin_operator", "subset label", lambda: build_pair_spin_operator(3, HALF, {1, 2.5})),
+    ("max_commuting_pairset", "N", lambda: max_commuting_pairset(3.0, HALF)),
+    ("max_commuting_pairset", "spin", lambda: max_commuting_pairset(3, 1)),
+    ("build_constraints", "n_particles", lambda: build_constraints(3.0)),
+    ("exhaustive_satisfiable", "system", lambda: exhaustive_satisfiable(((0, 1),))),
+    ("impossibility_report", "N_max", lambda: impossibility_report(3.0)),
+)
+
+
+@pytest.mark.parametrize(
+    "name, what, call", ROWS, ids=[f"{name}-{what}-{i}" for i, (name, what, _) in enumerate(ROWS)]
+)
+def test_wrong_type_is_a_type_error_naming_the_argument(name, what, call):
+    with pytest.raises(TypeError) as got:
+        call()
+    assert str(got.value).startswith(f"{what} must be "), str(got.value)
+
+
+def test_every_public_callable_has_a_row_or_an_exemption():
+    rows = {name for name, _, _ in ROWS}
+    assert not rows & set(EXEMPT)
+    assert set(EXEMPT) <= set(spinframes.__all__)
+    assert rows == (set(spinframes.__all__) - set(EXEMPT)) | {"CGTable.coefficient"}
+    for name in spinframes.__all__:
+        if name not in EXEMPT:
+            assert callable(getattr(spinframes, name)), name

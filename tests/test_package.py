@@ -10,8 +10,49 @@ import pytest
 import spinframes
 
 
+PUBLIC = {
+    "EPS", "EPS_GEOM", "MAX_TWICE_SPIN", "IDENTITY",
+    "TwiceSpin", "UnitQuaternion", "Vec3", "CGTable", "ParticleDescriptor",
+    "PairState", "OrderedDescription", "ExchangeCase", "FrameTag",
+    "CollinearMomentaError", "FrameMismatchError",
+    "m_range", "total_spins", "order_dependence_phase", "exchange_symmetry_sign",
+    "pseudo_antisymmetry_sign", "exclusion_check",
+    "compose", "from_axis_angle", "half_turn", "to_matrix3",
+    "wigner_D", "clebsch_gordan",
+    "helicity_frame", "bisector_axis", "relative_rotation",
+    "assemble_pair_canonical_orderfree", "assemble_ordered", "exchange_order_dependent",
+    "pair_state_from_matrix", "pure_permute", "rotate_sqf",
+    "project_composite", "pseudo_antisymmetrize", "build_pair_spin_operator",
+    "max_commuting_pairset",
+    "build_constraints", "exhaustive_satisfiable", "impossibility_report",
+}
+
+# importable from their home modules only
+INTERNAL = {
+    "exactnum": ("N_FACT", "factorial_exact", "neg_one_pow", "fmt15"),
+    "antisym_checker": (
+        "SatResult", "ParityLedger", "ExchangeConstraintSystem", "exchange_sign",
+        "check_noninterference", "n2_only_pattern", "report_lines",
+    ),
+    "composite": ("CompositeProjection", "PairSpinOperator"),
+    "wigner": ("WignerMatrix",),
+    "frames": ("HelicityFrame", "cm_polar_relation"),
+    "rotations": ("frame_to_quaternion", "inverse", "quaternion_close"),
+}
+
+
+def test_public_surface_is_pinned_and_internal_names_stay_home():
+    assert len(spinframes.__all__) == len(PUBLIC) == 43
+    assert set(spinframes.__all__) == PUBLIC
+    for module, names in INTERNAL.items():
+        home = importlib.import_module(f"spinframes.{module}")
+        for name in names:
+            assert hasattr(home, name), name
+            assert not hasattr(spinframes, name), name
+
+
 def test_every_public_name_is_its_home_modules_object():
-    assert len(spinframes.__all__) == len(set(spinframes.__all__)) == 62
+    assert len(spinframes.__all__) == len(set(spinframes.__all__))
     listed = dir(spinframes)
     for name in spinframes.__all__:
         home = importlib.import_module(f"spinframes.{spinframes._HOME[name]}")

@@ -13,13 +13,11 @@ from spinframes import (
     UnitQuaternion,
     Vec3,
     compose,
-    frame_to_quaternion,
     from_axis_angle,
     half_turn,
-    inverse,
-    quaternion_close,
     to_matrix3,
 )
+from spinframes.rotations import frame_to_quaternion, inverse, quaternion_close
 from util import rand_quaternion, rand_unit_vec
 
 ZHAT = Vec3(0.0, 0.0, 1.0)

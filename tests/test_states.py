@@ -31,14 +31,13 @@ from spinframes import (
     from_axis_angle,
     half_turn,
     helicity_frame,
-    inverse,
     m_range,
     order_dependence_phase,
     pair_state_from_matrix,
     pure_permute,
-    quaternion_close,
     rotate_sqf,
 )
+from spinframes.rotations import inverse, quaternion_close
 from spinframes import states
 from util import (
     figure_pair,
