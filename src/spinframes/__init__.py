@@ -10,8 +10,11 @@ antisymmetrization cannot be a convention for three or more particles.
 
 __all__ is the public surface; every other name is importable from its
 home module only. A wrong-typed argument is a TypeError naming it, a bad
-value a ValueError. Importing the package loads no module: each public name
-is imported on first use (PEP 562), so a report loads only what it needs.
+value a ValueError. Importing the package loads no spinframes submodule:
+each public name is imported on first use (PEP 562), so a report loads only
+what it needs. numpy is imported with the package only for the import-time
+probe of bench/run.py, until that probe reads a missing entry as 0 ms
+(ROADMAP item 1).
 """
 
 import importlib

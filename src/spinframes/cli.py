@@ -19,10 +19,10 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
-from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, m_range, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, fmt15_join, m_range
 
 if TYPE_CHECKING:
-    from .rotations import UnitQuaternion, Vec3
+    from .rotations import Vec3
 
 
 def _parse_vec(text: str) -> Vec3:
@@ -34,14 +34,6 @@ def _parse_vec(text: str) -> Vec3:
     return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _fmt_vec(v: Vec3) -> str:
-    return f"{fmt15(v.x)},{fmt15(v.y)},{fmt15(v.z)}"
-
-
-def _fmt_quat(q: UnitQuaternion) -> str:
-    return ",".join(fmt15(c) for c in q.components())
-
-
 def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
     from .rotations import from_axis_angle
     from .wigner import wigner_D
@@ -50,9 +42,8 @@ def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
     axis = _parse_vec(args.axis)
     q = from_axis_angle(axis, args.angle)
     mat = wigner_D(s, q)
-    out.write(
-        f"dmatrix: s2={s.twice} axis={_fmt_vec(axis)} angle={fmt15(args.angle)}\n"
-    )
+    axis_text = fmt15_join(axis.components())
+    out.write(f"dmatrix: s2={s.twice} axis={axis_text} angle={fmt15(args.angle)}\n")
     out.write("m2_order: " + " ".join(str(t) for t in mat.m_order()) + "\n")
     for m_row in m_range(s):
         for m_col in m_range(s):
@@ -89,8 +80,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     ordered = OrderedDescription([d1, d2])
     state_first, phase_first = exchange_order_dependent(ordered, ExchangeCase.FIRST)
     state_second, phase_second = exchange_order_dependent(ordered, ExchangeCase.SECOND)
-    # the cases differ by one full turn on each particle
-    discrepancy = order_dependence_phase([1, 1], [s_a, s_b])
+    # FIRST turns slot 1's particle, SECOND slot 2's: they differ by (-1)^(2s_a + 2s_b)
+    discrepancy = phase_first * phase_second
     residual = max(
         abs(state_second.amplitudes.get(k, 0j) - discrepancy * v)
         for k, v in state_first.amplitudes.items()
@@ -126,19 +117,18 @@ def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
     frame_a = helicity_frame(p_a, p_b, tag="a")
     frame_b = helicity_frame(p_b, p_a, tag="b")
     k = bisector_axis(p_a, p_b)
-    out.write(f"frames: pa={_fmt_vec(p_a)} pb={_fmt_vec(p_b)}\n")
+    out.write(f"frames: pa={fmt15_join(p_a.components())} pb={fmt15_join(p_b.components())}\n")
     for name, f in (("frame_a", frame_a), ("frame_b", frame_b)):
-        out.write(
-            f"{name}: x={_fmt_vec(f.xhat)} y={_fmt_vec(f.yhat)} z={_fmt_vec(f.zhat)}\n"
-        )
-    out.write(f"bisector: {_fmt_vec(k)}\n")
+        x, y, z = (fmt15_join(v.components()) for v in (f.xhat, f.yhat, f.zhat))
+        out.write(f"{name}: x={x} y={y} z={z}\n")
+    out.write(f"bisector: {fmt15_join(k.components())}\n")
     sheets = {}
     for sheet in (1, -1):
         q = relative_rotation(frame_b, frame_a, sheet)
         sheets[sheet] = q
         residual = _frame_residual(q, frame_b, frame_a)
         out.write(
-            f"sheet={sheet:+d}: q={_fmt_quat(q)} residual={fmt15(residual)}\n"
+            f"sheet={sheet:+d}: q={fmt15_join(q.components())} residual={fmt15(residual)}\n"
         )
     negated = all(
         a == -b for a, b in zip(sheets[1].components(), sheets[-1].components())

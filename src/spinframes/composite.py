@@ -6,13 +6,12 @@ exactnum; pseudo_antisymmetry_sign and exclusion_check stay bound here.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactnum import (
-    EPS, TwiceSpin, _require_instance, fmt15, m_range, order_dependence_phase
+    EPS, TwiceSpin, _require_instance, float_bits, fmt15, m_range, order_dependence_phase
 )
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
@@ -34,10 +33,12 @@ class CompositeProjection:
     amplitudes: dict[tuple[TwiceSpin, int], complex]
 
     def amplitude(self, S: TwiceSpin, tM: int) -> complex:
+        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
         return self.amplitudes.get((S, S.component(tM)), 0j)
 
     def weight(self, S: TwiceSpin) -> float:
         """Total probability in the composite-spin-S channel."""
+        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
         return float(
             sum(abs(v) ** 2 for (tS, _), v in self.amplitudes.items() if tS == S)
         )
@@ -90,7 +91,7 @@ def project_composite(
     ):
         r_a, r_b = route
         d_a = wigner_D(s_a, r_a).entries
-        if s_a == s_b and _bits(r_a) == _bits(r_b):
+        if s_a == s_b and float_bits(r_a.components()) == float_bits(r_b.components()):
             d_b = d_a
         else:
             d_b = wigner_D(s_b, r_b).entries
@@ -103,12 +104,6 @@ def project_composite(
     table = CGTable(s_a, s_b)
     amps = dict(zip(table.channels, (common.reshape(-1) @ table.matrix).tolist()))
     return CompositeProjection(s_a=s_a, s_b=s_b, amplitudes=amps)
-
-
-def _bits(q: UnitQuaternion) -> bytes:
-    """q's components as bytes: equal bits give bit-identical D matrices,
-    where == would also match 0.0 with -0.0."""
-    return struct.pack("<4d", *q.components())
 
 
 def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
@@ -178,6 +173,7 @@ def build_pair_spin_operator(
         raise ValueError(f"N={n_particles} exceeds bound {MAX_OPERATOR_PARTICLES}")
     if s.twice > MAX_OPERATOR_TWICE_SPIN:
         raise ValueError(f"2s={s.twice} exceeds bound {MAX_OPERATOR_TWICE_SPIN}")
+    _require_instance(subset, (set, frozenset), "subset must be a set or frozenset, got {value!r}")
     subset = frozenset(subset)
     for label in subset:
         _require_instance(label, int, "subset label must be an int, got {value!r}")

@@ -5,7 +5,8 @@ labels never touch floating point and every sign rule reduces to integer
 parity. A spin is a TwiceSpin (2s, checked on construction); a projection is
 a plain int 2m, checked against its spin by TwiceSpin.component. The label
 order (m_range, TwiceSpin.index), the triangle rule (total_spins) and the
-spin bound (MAX_TWICE_SPIN) are defined here only. The module needs no numpy.
+spin bound (MAX_TWICE_SPIN) are defined here only, as are float bit identity
+(float_bits) and float text (fmt15, fmt15_join). The module needs no numpy.
 
 The one turn-sign law, (-1)^(sum_i n_i * 2s_i) for n_i full turns on particle
 i's frame, is order_dependence_phase; every turn sign in the package comes
@@ -21,6 +22,7 @@ other quantum numbers equal to even composite spin (exclusion_check).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 # Tolerance for comparing floats/complexes produced by short exact-factorial
@@ -134,7 +136,10 @@ def neg_one_pow(k: int) -> int:
 def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
     """Net sign (-1)^(sum_i n_i * 2s_i) collected when particle i's frame is
     turned through n_i full turns; only the parities of the n_i matter.
-    Each n_i must be an int and each s_i a TwiceSpin (TypeError)."""
+    n and spins must be lists or tuples, each n_i an int and each s_i a
+    TwiceSpin (TypeError)."""
+    _require_instance(n, (list, tuple), "n must be a list or tuple of turn counts, got {value!r}")
+    _require_instance(spins, (list, tuple), "spins must be a list or tuple of TwiceSpins, got {value!r}")
     if len(n) != len(spins):
         raise ValueError(
             f"need one turn count per particle: {len(n)} counts, {len(spins)} spins"
@@ -193,3 +198,20 @@ def fmt15(x: float) -> str:
     print identically (negative zero included).
     """
     return format(x + 0.0, ".15g")
+
+
+def fmt15_join(values: tuple[float, ...]) -> str:
+    """fmt15 of each value, comma-joined: the text of a vector or quaternion."""
+    return ",".join(fmt15(x) for x in values)
+
+
+_PACKERS = {n: (struct.Struct(f"<{n}d").pack, struct.Struct(f"<{n}Q").unpack) for n in (4, 7)}
+
+
+def float_bits(values: tuple[float, ...]) -> tuple[int, ...]:
+    """The uint64 bit patterns of 4 floats (a UnitQuaternion) or 7 (a
+    descriptor's momentum and R_BS), by structs compiled once: equal exactly
+    when the floats are bit-identical, where == would also match 0.0 with
+    -0.0."""
+    pack, unpack = _PACKERS[len(values)]
+    return unpack(pack(*values))

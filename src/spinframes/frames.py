@@ -46,14 +46,19 @@ class HelicityFrame:
         return frame_to_quaternion(self.xhat, self.yhat, self.zhat)
 
 
+def _scaled_momenta(p_a: Vec3, p_b: Vec3) -> tuple[Vec3, Vec3]:
+    """Both momenta checked finite (else ValueError), each scaled by its power of two."""
+    for p in (p_a, p_b):
+        _require_finite(p, "momentum")
+    return _pow2_scaled(p_a), _pow2_scaled(p_b)
+
+
 def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[Vec3, Vec3]:
     """The checks a helicity frame needs, without building one: both momenta
     finite (else ValueError) and spanning a plane (else
     CollinearMomentaError). Returns p_this scaled by its power of two and
     the normal p_this x p_other of the scaled momenta."""
-    for p in (p_this, p_other):
-        _require_finite(p, "momentum")
-    p_this, p_other = _pow2_scaled(p_this), _pow2_scaled(p_other)
+    p_this, p_other = _scaled_momenta(p_this, p_other)
     n_this, n_other = p_this.norm(), p_other.norm()
     if n_this == 0.0 or n_other == 0.0:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
@@ -77,6 +82,7 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     is first scaled by a power of two, so any finite non-zero magnitude
     works and in-range inputs give the same bits as unscaled arithmetic.
     """
+    _require_instance(tag, str, "tag must be a str, got {value!r}")
     p_this, normal = _spanning_normal(p_this, p_other)
     zhat = p_this.normalized()
     yhat = normal.normalized()
@@ -91,11 +97,8 @@ def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
     antiparallel ones, where the sum vanishes. Like helicity_frame, it
     accepts any finite non-zero magnitude and rejects a non-finite one.
     """
-    for p in (p_a, p_b):
-        _require_finite(p, "momentum")
-    a = _pow2_scaled(p_a).normalized()
-    b = _pow2_scaled(p_b).normalized()
-    s = a + b
+    a, b = _scaled_momenta(p_a, p_b)
+    s = a.normalized() + b.normalized()
     if s.norm() < EPS_GEOM:
         raise ValueError("bisector undefined for antiparallel directions")
     return s.normalized()

@@ -10,6 +10,7 @@ ever canonicalizes the quaternion sign; composition is the Hamilton product
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ class Vec3:
 
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
+
+    def components(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
 
     def normalized(self) -> Vec3:
         n = self.norm()
@@ -114,9 +118,11 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     The angle is taken mod 4*pi in effect: angle and angle + 2*pi give
     quaternions of opposite overall sign, angle + 4*pi returns the same one.
     Any finite non-zero axis works: it is first scaled by a power of two, so
-    in-range axes give the bits of unscaled arithmetic.
+    in-range axes give the bits of unscaled arithmetic. The angle may be any
+    real number but a bool, numpy's float scalars included.
     """
     _require_finite(axis, "rotation axis")
+    _require_instance(angle, numbers.Real, "rotation angle must be a real number, got {value!r}")
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle {angle!r} is not finite")
     axis = _pow2_scaled(axis)

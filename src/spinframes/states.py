@@ -19,13 +19,13 @@ from the first's through a half-turn about the momentum bisector, pick up
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exactnum import EPS, TwiceSpin, _require_instance, fmt15, m_range, order_dependence_phase
+from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15, fmt15_join
+from .exactnum import m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
 from .wigner import _evaluate
@@ -78,13 +78,12 @@ class ParticleDescriptor:
         self.s.component(self.m)
         _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
-        content = (
-            self.Q, struct.unpack("<3Q", struct.pack("<3d", p.x, p.y, p.z)), self.s.twice
-        )
-        rotation = struct.unpack("<4Q", struct.pack("<4d", r.w, r.x, r.y, r.z))
+        # one pack for both keys costs no more than a pack per key
+        px, py, pz, rw, rx, ry, rz = float_bits((p.x, p.y, p.z, r.w, r.x, r.y, r.z))
+        content = (self.Q, (px, py, pz), self.s.twice)
         object.__setattr__(self, "_content_key", content)
         object.__setattr__(
-            self, "_sort_key", (content, self.m, self.base.value, rotation)
+            self, "_sort_key", (content, self.m, self.base.value, (rw, rx, ry, rz))
         )
 
     def content_key(self) -> tuple:
@@ -97,11 +96,9 @@ class ParticleDescriptor:
         return self._sort_key
 
     def __str__(self) -> str:
-        px, py, pz = (fmt15(self.p.x), fmt15(self.p.y), fmt15(self.p.z))
-        rw, rx, ry, rz = (fmt15(c) for c in self.R_BS.components())
         return (
-            f"Q={self.Q} p={px},{py},{pz} 2s={self.s.twice} 2m={self.m} "
-            f"base={self.base.value} R_BS={rw},{rx},{ry},{rz}"
+            f"Q={self.Q} p={fmt15_join(self.p.components())} 2s={self.s.twice} "
+            f"2m={self.m} base={self.base.value} R_BS={fmt15_join(self.R_BS.components())}"
         )
 
 
@@ -256,6 +253,7 @@ class OrderedDescription:
     half_turns: tuple[UnitQuaternion, ...] = field(repr=False, compare=False)
 
     def __init__(self, slots: list[ParticleDescriptor] | tuple[ParticleDescriptor, ...]) -> None:
+        _require_instance(slots, (list, tuple), "slots must be a list or tuple, got {value!r}")
         slots = tuple(slots)
         for slot in slots:
             _require_instance(slot, ParticleDescriptor, "slot must be a ParticleDescriptor, got {type}")
@@ -275,17 +273,11 @@ class OrderedDescription:
 def _follow(
     prev: ParticleDescriptor, nxt: ParticleDescriptor, r: UnitQuaternion
 ) -> ParticleDescriptor:
-    """The derived-rotation rule: nxt in the slot after prev, with
-    R_BS = R_prev * r for the half-turn r relating the two slots."""
-    return _with_rotation(nxt, compose(prev.R_BS, r))
-
-
-def _with_rotation(desc: ParticleDescriptor, r: UnitQuaternion) -> ParticleDescriptor:
-    """desc with R_BS = r: dataclasses.replace without its per-call field
-    introspection."""
-    return ParticleDescriptor(
-        Q=desc.Q, p=desc.p, s=desc.s, m=desc.m, base=desc.base, R_BS=r
-    )
+    """The derived-rotation rule: nxt in the slot after prev, with R_BS =
+    R_prev * r for the half-turn r relating the two slots. Built by an
+    explicit call, without dataclasses.replace's field introspection."""
+    r_bs = compose(prev.R_BS, r)
+    return ParticleDescriptor(Q=nxt.Q, p=nxt.p, s=nxt.s, m=nxt.m, base=nxt.base, R_BS=r_bs)
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
@@ -424,7 +416,7 @@ def exchange_order_dependent(
         first = d2  # keeps its rotation, compose(d1.R_BS, r21)
         turns = [1, 0]
     else:
-        first = _with_rotation(d2, compose(d1.R_BS, inverse(r21)))
+        first = _follow(d1, d2, inverse(r21))
         turns = [0, 1]
     # the exchanged pair has the same bisector, so its half-turn is r21
     second = _follow(first, d1, r21)

@@ -454,6 +454,23 @@ def test_exchange_claim_failure_exits_1(monkeypatch, capsys):
         assert capsys.readouterr() == ("case discrepancy check failed\n", "")
 
 
+def test_exchange_discrepancy_is_the_product_of_the_returned_phases(monkeypatch, capsys):
+    # a SECOND case that returns its state and its phase both negated stays
+    # consistent, so the report prints the negated discrepancy and exits 0
+    real = states.exchange_order_dependent
+
+    def second_negated(ordered, case):
+        state, phase = real(ordered, case)
+        return (state.scaled(-1), -phase) if case is ExchangeCase.SECOND else (state, phase)
+
+    monkeypatch.setattr(states, "exchange_order_dependent", second_negated)
+    for (sa2, sb2), want in {("1", "2"): "+1", ("1", "1"): "-1", ("2", "2"): "-1"}.items():
+        code = cli.main(["exchange", "--sa2", sa2, "--sb2", sb2, "--case", "second"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert (out.split()[-1], err) == (f"case_discrepancy={want}", "")
+
+
 def test_impossibility_claim_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(antisym_checker, "n2_only_pattern", lambda rows: False)
     assert cli.main(["impossibility", "--n", "3"]) == 1

@@ -1,6 +1,8 @@
 """Doubled-integer spin labels, exact factorials, parity signs, and the
 coupling sign rules that live with them."""
 
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from spinframes import (
     order_dependence_phase,
     total_spins,
 )
-from spinframes.exactnum import N_FACT, factorial_exact, fmt15, neg_one_pow
+from spinframes.exactnum import N_FACT, factorial_exact, float_bits, fmt15, fmt15_join, neg_one_pow
 from spinframes import cli, composite, exactnum, states
 
 
@@ -120,6 +122,23 @@ def test_fmt15_deterministic_and_normalizes_negative_zero():
     assert fmt15(-0.0) == "0"
     assert fmt15(0.5) == "0.5"
     assert fmt15(2.0 / 3.0) == "0.666666666666667"
+
+
+def test_fmt15_join_is_fmt15_comma_joined():
+    assert fmt15_join((1.0, -0.0, 2.0 / 3.0)) == "1,0,0.666666666666667"
+    assert fmt15_join((0.5, -1e-300, 1e300, -2.5)) == "0.5,-1e-300,1e+300,-2.5"
+    assert fmt15_join(()) == ""
+
+
+def test_float_bits_are_the_uint64_patterns_and_part_signed_zeros():
+    values = (0.0, -0.0, 1.0, -5e-324, 1e300, math.inf, -math.inf, 2.0 / 3.0)
+    for n in (4, 7):
+        for start in range(len(values) - n + 1):
+            part = values[start:start + n]
+            want = tuple(struct.unpack("<Q", struct.pack("<d", x))[0] for x in part)
+            assert float_bits(part) == want
+    assert float_bits((0.0, 1.0, 2.0, 3.0)) != float_bits((-0.0, 1.0, 2.0, 3.0))
+    assert float_bits((1, 0, -2, 0)) == float_bits((1.0, 0.0, -2.0, 0.0))
 
 
 def test_index_is_the_position_in_m_range():

@@ -166,7 +166,18 @@ ROWS = (
     ("build_constraints", "n_particles", lambda: build_constraints(3.0)),
     ("exhaustive_satisfiable", "system", lambda: exhaustive_satisfiable(((0, 1),))),
     ("impossibility_report", "N_max", lambda: impossibility_report(3.0)),
+    ("CompositeProjection.amplitude", "S", lambda: project_composite(state(), 1).amplitude(2, 0)),
+    ("CompositeProjection.weight", "S", lambda: project_composite(state(), 1).weight(2)),
+    ("from_axis_angle", "rotation angle", lambda: from_axis_angle(ZHAT, "a")),
+    ("from_axis_angle", "rotation angle", lambda: from_axis_angle(ZHAT, True)),
+    ("order_dependence_phase", "n", lambda: order_dependence_phase(1, [HALF])),
+    ("order_dependence_phase", "spins", lambda: order_dependence_phase([1], 1)),
+    ("build_pair_spin_operator", "subset", lambda: build_pair_spin_operator(3, HALF, 5)),
+    ("OrderedDescription", "slots", lambda: OrderedDescription(5)),
+    ("helicity_frame", "tag", lambda: helicity_frame(P_A, P_B, tag=5)),
 )
+# methods of objects that public callables return, checked like the callables
+METHODS = {"CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight"}
 
 
 @pytest.mark.parametrize(
@@ -182,7 +193,7 @@ def test_every_public_callable_has_a_row_or_an_exemption():
     rows = {name for name, _, _ in ROWS}
     assert not rows & set(EXEMPT)
     assert set(EXEMPT) <= set(spinframes.__all__)
-    assert rows == (set(spinframes.__all__) - set(EXEMPT)) | {"CGTable.coefficient"}
+    assert rows == (set(spinframes.__all__) - set(EXEMPT)) | METHODS
     for name in spinframes.__all__:
         if name not in EXEMPT:
             assert callable(getattr(spinframes, name)), name

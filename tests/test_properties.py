@@ -1,4 +1,4 @@
-"""Hypothesis properties for acceptance guarantees 1, 2, 4 and 9 over the
+"""Hypothesis properties for acceptance guarantees 1, 2, 3, 4 and 9 over the
 float domain: rotation axes and momenta of every magnitude from 1e-300 to
 1e300, and the non-finite inputs each boundary must reject by name. The
 seeded loops of tests/test_acceptance.py stay as they are; these search
@@ -12,16 +12,21 @@ import pytest
 from spinframes import (
     EPS,
     EPS_GEOM,
+    IDENTITY,
     MAX_TWICE_SPIN,
+    ExchangeCase,
     FrameTag,
+    OrderedDescription,
     ParticleDescriptor,
     TwiceSpin,
     Vec3,
     assemble_pair_canonical_orderfree,
     bisector_axis,
     compose,
+    exchange_order_dependent,
     from_axis_angle,
     helicity_frame,
+    m_range,
     pure_permute,
     relative_rotation,
     to_matrix3,
@@ -88,6 +93,36 @@ def test_c02_homomorphism_within_eps(s, p, q):
     left = wigner_D(s, compose(p, q)).entries
     right = wigner_D(s, p).entries @ wigner_D(s, q).entries
     assert np.abs(left - right).max() <= EPS
+
+
+@st.composite
+def ordered_pairs(draw):
+    """A two-slot helicity description: spins up to MAX_TWICE_SPIN, any
+    projections, non-collinear momenta of any magnitude and any slot-1
+    rotation (slot 2's is derived from it)."""
+    p_a, p_b = draw(noncollinear_pairs())
+    descs = []
+    for label, p, r in (("u", p_a, draw(rotations())), ("w", p_b, IDENTITY)):
+        s = draw(spins)
+        m = draw(st.sampled_from(m_range(s)))
+        descs.append(ParticleDescriptor(Q=label, p=p, s=s, m=m, base=FrameTag.HELICITY, R_BS=r))
+    return OrderedDescription(descs)
+
+
+@SETTINGS
+@hypothesis.given(ordered_pairs())
+def test_c03_exchange_phases_and_case_discrepancy(ordered):
+    d1, d2 = ordered.slots
+    first, phase_first = exchange_order_dependent(ordered, ExchangeCase.FIRST)
+    second, phase_second = exchange_order_dependent(ordered, ExchangeCase.SECOND)
+    assert phase_first == (-1) ** d1.s.twice
+    assert phase_second == (-1) ** d2.s.twice
+    product = phase_first * phase_second
+    keys = set(first.amplitudes) | set(second.amplitudes)
+    diff = max(
+        abs(second.amplitudes.get(k, 0j) - product * first.amplitudes.get(k, 0j)) for k in keys
+    )
+    assert diff <= 10 * EPS
 
 
 @st.composite

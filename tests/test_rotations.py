@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_from_axis_angle_rejects_non_finite_axis_and_angle():
                 from_axis_angle(axis, 1.0)
         with pytest.raises(ValueError, match="angle .* is not finite"):
             from_axis_angle(ZHAT, bad)
+
+
+def test_from_axis_angle_takes_any_real_angle_but_a_bool():
+    axis = Vec3(0.3, -0.4, 1.2)
+    for angle in (np.float64(0.7), np.float32(0.5), np.int64(2), 2, Fraction(1, 2)):
+        assert from_axis_angle(axis, angle) == from_axis_angle(axis, float(angle)), angle
+    for bad in (True, "0.5", None, 0.5j):
+        with pytest.raises(TypeError) as got:
+            from_axis_angle(axis, bad)
+        assert str(got.value) == f"rotation angle must be a real number, got {bad!r}"
 
 
 def scaled_axis(v: Vec3, k: int) -> Vec3:

@@ -449,7 +449,7 @@ def test_assembly_bit_equal_to_per_entry_products():
 
 
 def test_assembly_bit_equal_to_the_plan_kernel():
-    # each column comes from the one-column plan of the same builder and
+    # each column is read from the whole matrix of the per-2s plan and
     # must carry the plan kernel's bits, signed zeros included, into the
     # per-entry products
     rng = random.Random(58)
