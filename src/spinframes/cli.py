@@ -19,7 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
-from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, fmt15_join, m_range
+from .exactnum import EPS, TwiceSpin, exclusion_check, fmt15, fmt15_complex, fmt15_join, m_range
 
 if TYPE_CHECKING:
     from .rotations import Vec3
@@ -47,8 +47,7 @@ def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
     out.write("m2_order: " + " ".join(str(t) for t in mat.m_order()) + "\n")
     for m_row in m_range(s):
         for m_col in m_range(s):
-            v = mat.entry(m_row, m_col)
-            out.write(f"({m_row}, {m_col}) {fmt15(v.real)} {fmt15(v.imag)}\n")
+            out.write(f"({m_row}, {m_col}) {fmt15_complex(mat.entry(m_row, m_col))}\n")
     return 0
 
 

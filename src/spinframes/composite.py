@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import (
-    EPS, TwiceSpin, _require_instance, float_bits, fmt15, m_range, order_dependence_phase
+    EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, m_range, order_dependence_phase
 )
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
@@ -49,11 +49,7 @@ class CompositeProjection:
     def report_lines(self) -> list[str]:
         """`S_twice M_twice re im` per entry, S ascending then M descending."""
         keys = sorted(self.amplitudes, key=lambda k: (k[0].twice, -k[1]))
-        return [
-            f"{S.twice} {tM} {fmt15(self.amplitudes[(S, tM)].real)} "
-            f"{fmt15(self.amplitudes[(S, tM)].imag)}"
-            for (S, tM) in keys
-        ]
+        return [f"{S.twice} {tM} {fmt15_complex(self.amplitudes[(S, tM)])}" for (S, tM) in keys]
 
 
 def project_composite(

@@ -6,7 +6,8 @@ parity. A spin is a TwiceSpin (2s, checked on construction); a projection is
 a plain int 2m, checked against its spin by TwiceSpin.component. The label
 order (m_range, TwiceSpin.index), the triangle rule (total_spins) and the
 spin bound (MAX_TWICE_SPIN) are defined here only, as are float bit identity
-(float_bits) and float text (fmt15, fmt15_join). The module needs no numpy.
+(float_bits) and float text (fmt15, fmt15_join, fmt15_complex). The module
+needs no numpy.
 
 The one turn-sign law, (-1)^(sum_i n_i * 2s_i) for n_i full turns on particle
 i's frame, is order_dependence_phase; every turn sign in the package comes
@@ -91,6 +92,9 @@ class TwiceSpin:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
+
+    def __hash__(self) -> int:  # the int's own hash, without a field tuple
+        return hash(self.twice)
 
 
 def _require_supported(s: TwiceSpin) -> None:
@@ -205,13 +209,19 @@ def fmt15_join(values: tuple[float, ...]) -> str:
     return ",".join(fmt15(x) for x in values)
 
 
-_PACKERS = {n: (struct.Struct(f"<{n}d").pack, struct.Struct(f"<{n}Q").unpack) for n in (4, 7)}
+def fmt15_complex(v: complex) -> str:
+    """fmt15 of the real and the imaginary part, space-joined: the text of
+    an amplitude."""
+    return f"{fmt15(v.real)} {fmt15(v.imag)}"
+
+
+_PACKERS = {n: (struct.Struct(f"<{n}d").pack, struct.Struct(f"<{n}Q").unpack) for n in (3, 4, 7)}
 
 
 def float_bits(values: tuple[float, ...]) -> tuple[int, ...]:
-    """The uint64 bit patterns of 4 floats (a UnitQuaternion) or 7 (a
-    descriptor's momentum and R_BS), by structs compiled once: equal exactly
-    when the floats are bit-identical, where == would also match 0.0 with
-    -0.0."""
+    """The uint64 bit patterns of 3 floats (a Vec3), 4 (a UnitQuaternion) or
+    7 (a descriptor's momentum and R_BS), by structs compiled once: equal
+    exactly when the floats are bit-identical, where == would also match 0.0
+    with -0.0."""
     pack, unpack = _PACKERS[len(values)]
     return unpack(pack(*values))

@@ -18,7 +18,8 @@ from .exactnum import _require_instance
 from .rotations import (
     EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, half_turn, to_matrix3,
 )
-from .rotations import _pow2_scaled, _require_finite, _require_right_handed_triad
+from .rotations import _cross3, _norm3, _pow2_scaled, _require_finite, _unit3
+from .rotations import _require_right_handed_triad, _Triple
 
 
 class CollinearMomentaError(ValueError):
@@ -46,24 +47,23 @@ class HelicityFrame:
         return frame_to_quaternion(self.xhat, self.yhat, self.zhat)
 
 
-def _scaled_momenta(p_a: Vec3, p_b: Vec3) -> tuple[Vec3, Vec3]:
-    """Both momenta checked finite (else ValueError), each scaled by its power of two."""
-    for p in (p_a, p_b):
-        _require_finite(p, "momentum")
-    return _pow2_scaled(p_a), _pow2_scaled(p_b)
+def _scaled_momenta(p_a: Vec3, p_b: Vec3) -> tuple[_Triple, _Triple]:
+    """Both momenta, finite (the public functions check them first), scaled
+    by their powers of two as float triples."""
+    return _pow2_scaled(p_a.components()), _pow2_scaled(p_b.components())
 
 
-def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[Vec3, Vec3]:
-    """The checks a helicity frame needs, without building one: both momenta
-    finite (else ValueError) and spanning a plane (else
-    CollinearMomentaError). Returns p_this scaled by its power of two and
-    the normal p_this x p_other of the scaled momenta."""
+def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[_Triple, _Triple]:
+    """The check a helicity frame needs of two finite momenta, without
+    building one: they span a plane (else CollinearMomentaError). Returns
+    p_this scaled by its power of two and the normal p_this x p_other of
+    the scaled momenta, as float triples."""
     p_this, p_other = _scaled_momenta(p_this, p_other)
-    n_this, n_other = p_this.norm(), p_other.norm()
+    n_this, n_other = _norm3(p_this), _norm3(p_other)
     if n_this == 0.0 or n_other == 0.0:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
-    normal = p_this.cross(p_other)
-    if normal.norm() < EPS_GEOM * n_this * n_other:
+    normal = _cross3(p_this, p_other)
+    if _norm3(normal) < EPS_GEOM * n_this * n_other:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
     return p_this, normal
 
@@ -83,11 +83,13 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     works and in-range inputs give the same bits as unscaled arithmetic.
     """
     _require_instance(tag, str, "tag must be a str, got {value!r}")
+    _require_finite(p_this, "momentum")
+    _require_finite(p_other, "momentum")
     p_this, normal = _spanning_normal(p_this, p_other)
-    zhat = p_this.normalized()
-    yhat = normal.normalized()
-    xhat = yhat.cross(zhat)
-    return HelicityFrame(particle_tag=tag, xhat=xhat, yhat=yhat, zhat=zhat)
+    zhat = _unit3(p_this)
+    yhat = _unit3(normal)
+    xhat = _cross3(yhat, zhat)
+    return HelicityFrame(particle_tag=tag, xhat=Vec3(*xhat), yhat=Vec3(*yhat), zhat=Vec3(*zhat))
 
 
 def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
@@ -97,11 +99,19 @@ def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
     antiparallel ones, where the sum vanishes. Like helicity_frame, it
     accepts any finite non-zero magnitude and rejects a non-finite one.
     """
+    _require_finite(p_a, "momentum")
+    _require_finite(p_b, "momentum")
+    return Vec3(*_bisector(p_a, p_b))
+
+
+def _bisector(p_a: Vec3, p_b: Vec3) -> _Triple:
+    """bisector_axis of two finite momenta, as a float triple."""
     a, b = _scaled_momenta(p_a, p_b)
-    s = a.normalized() + b.normalized()
-    if s.norm() < EPS_GEOM:
+    a, b = _unit3(a), _unit3(b)
+    s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    if _norm3(s) < EPS_GEOM:
         raise ValueError("bisector undefined for antiparallel directions")
-    return s.normalized()
+    return _unit3(s)
 
 
 def cm_polar_relation(theta: float, phi: float) -> tuple[float, float]:
@@ -133,7 +143,8 @@ def relative_rotation(
     """
     _require_instance(frame_from, HelicityFrame, "frame_from must be a HelicityFrame, got {type}")
     _require_instance(frame_to, HelicityFrame, "frame_to must be a HelicityFrame, got {type}")
-    q = half_turn(bisector_axis(frame_from.zhat, frame_to.zhat), sheet)
+    # the frames' axes passed the triad check, so they are finite
+    q = half_turn(Vec3(*_bisector(frame_from.zhat, frame_to.zhat)), sheet)
     if _frame_residual(q, frame_from, frame_to) > EPS_GEOM:
         raise FrameMismatchError(
             "half-turn about the bisector does not relate these frames; "
@@ -145,11 +156,9 @@ def relative_rotation(
 def _frame_residual(
     q: UnitQuaternion, frame_from: HelicityFrame, frame_to: HelicityFrame
 ) -> float:
-    """Largest distance between q applied to an axis of frame_from and the
-    same axis of frame_to."""
+    """Largest distance between q applied to an axis of frame_from (by numpy's
+    matmul, which fixes the bits) and the same axis of frame_to."""
     r = to_matrix3(q)
-    axes = zip(
-        (frame_from.xhat, frame_from.yhat, frame_from.zhat),
-        (frame_to.xhat, frame_to.yhat, frame_to.zhat),
-    )
-    return max((Vec3.from_array(r @ a.as_array()) - b).norm() for a, b in axes)
+    images = ((r @ a.as_array()).tolist() for a in (frame_from.xhat, frame_from.yhat, frame_from.zhat))
+    axes = zip(images, (frame_to.xhat, frame_to.yhat, frame_to.zhat))
+    return max(_norm3((x - b.x, y - b.y, z - b.z)) for (x, y, z), b in axes)

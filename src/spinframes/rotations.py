@@ -21,6 +21,31 @@ from .exactnum import EPS, _require_instance
 # looser tolerance than the algebraic EPS.
 EPS_GEOM = 1e-9
 
+# The geometry formulas on (x, y, z) float triples: Vec3's methods wrap them,
+# and the frame code builds a Vec3 only for a value it returns.
+_Triple = tuple[float, float, float]
+
+
+def _dot3(a: _Triple, b: _Triple) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross3(a: _Triple, b: _Triple) -> _Triple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _norm3(v: _Triple) -> float:
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _unit3(v: _Triple) -> _Triple:
+    n = _norm3(v)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    c = 1.0 / n
+    return (c * v[0], c * v[1], c * v[2])
+
 
 @dataclass(frozen=True)
 class Vec3:
@@ -43,26 +68,19 @@ class Vec3:
         return Vec3(c * self.x, c * self.y, c * self.z)
 
     def dot(self, other: Vec3) -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        return _dot3(self.components(), other.components())
 
     def cross(self, other: Vec3) -> Vec3:
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        return Vec3(*_cross3(self.components(), other.components()))
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        return _norm3(self.components())
 
-    def components(self) -> tuple[float, float, float]:
+    def components(self) -> _Triple:
         return (self.x, self.y, self.z)
 
     def normalized(self) -> Vec3:
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
+        return Vec3(*_unit3(self.components()))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -97,12 +115,13 @@ class UnitQuaternion:
 IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 
 
-def _pow2_scaled(p: Vec3) -> Vec3:
+def _pow2_scaled(p: _Triple) -> _Triple:
     """p times the power of two that brings its largest component into
     [0.5, 1); exact, so the direction is kept bit for bit and no later square
     overflows or underflows. The zero vector stays zero."""
-    _, e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))
-    return Vec3(math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e))
+    x, y, z = p
+    _, e = math.frexp(max(abs(x), abs(y), abs(z)))
+    return (math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e))
 
 
 def _require_finite(v: Vec3, what: str) -> None:
@@ -125,14 +144,14 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     _require_instance(angle, numbers.Real, "rotation angle must be a real number, got {value!r}")
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle {angle!r} is not finite")
-    axis = _pow2_scaled(axis)
-    n = axis.norm()
+    x, y, z = _pow2_scaled(axis.components())
+    n = _norm3((x, y, z))
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * angle
     c = math.cos(half)
     s = math.sin(half) / n
-    return UnitQuaternion(c, s * axis.x, s * axis.y, s * axis.z)
+    return UnitQuaternion(c, s * x, s * y, s * z)
 
 
 def half_turn(axis: Vec3, sheet: int) -> UnitQuaternion:
@@ -190,16 +209,17 @@ def to_matrix3(q: UnitQuaternion) -> np.ndarray:
 
 def _require_right_handed_triad(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> None:
     # Each check is written as a positive test so that NaN axes fail it.
+    xhat, yhat, zhat = xhat.components(), yhat.components(), zhat.components()
     for v, name in ((xhat, "xhat"), (yhat, "yhat"), (zhat, "zhat")):
-        if not abs(v.norm() - 1.0) <= EPS_GEOM:
+        if not abs(_norm3(v) - 1.0) <= EPS_GEOM:
             raise ValueError(f"{name} is not unit length")
     if not (
-        abs(xhat.dot(yhat)) <= EPS_GEOM
-        and abs(yhat.dot(zhat)) <= EPS_GEOM
-        and abs(zhat.dot(xhat)) <= EPS_GEOM
+        abs(_dot3(xhat, yhat)) <= EPS_GEOM
+        and abs(_dot3(yhat, zhat)) <= EPS_GEOM
+        and abs(_dot3(zhat, xhat)) <= EPS_GEOM
     ):
         raise ValueError("frame axes are not mutually orthogonal")
-    if not xhat.cross(yhat).dot(zhat) >= 0.0:
+    if not _dot3(_cross3(xhat, yhat), zhat) >= 0.0:
         raise ValueError("frame is left-handed (xhat x yhat points against zhat)")
 
 

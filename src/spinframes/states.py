@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15, fmt15_join
+from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, fmt15_join
 from .exactnum import m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
@@ -79,12 +79,12 @@ class ParticleDescriptor:
         _require_finite(self.p, "momentum")
         p, r = self.p, self.R_BS
         # one pack for both keys costs no more than a pack per key
-        px, py, pz, rw, rx, ry, rz = float_bits((p.x, p.y, p.z, r.w, r.x, r.y, r.z))
-        content = (self.Q, (px, py, pz), self.s.twice)
+        bits = float_bits((p.x, p.y, p.z, r.w, r.x, r.y, r.z))
+        self._set_keys((self.Q, bits[:3], self.s.twice), bits[3:])
+
+    def _set_keys(self, content: tuple, r_bits: tuple) -> None:
         object.__setattr__(self, "_content_key", content)
-        object.__setattr__(
-            self, "_sort_key", (content, self.m, self.base.value, (rw, rx, ry, rz))
-        )
+        object.__setattr__(self, "_sort_key", (content, self.m, self.base.value, r_bits))
 
     def content_key(self) -> tuple:
         """Total-order key for the particle content; Q compares bytewise and
@@ -153,6 +153,9 @@ class PairState:
 
     def __post_init__(self) -> None:
         _require_descriptors(self.desc_a, self.desc_b)
+        self._put_in_order()
+
+    def _put_in_order(self) -> None:
         if self.desc_b.sort_key() < self.desc_a.sort_key():
             a, b = self.desc_b, self.desc_a
             object.__setattr__(self, "desc_a", a)
@@ -214,10 +217,8 @@ class PairState:
         """Every amplitude times c; a non-finite c raises ValueError."""
         if not np.isfinite(c):
             raise ValueError(f"scale factor {c!r} is not finite")
-        return PairState(
-            desc_a=self.desc_a,
-            desc_b=self.desc_b,
-            amplitudes={k: c * v for k, v in self.amplitudes.items()},
+        return _pair_state(
+            self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()}
         )
 
     def dump(self) -> str:
@@ -232,9 +233,17 @@ class PairState:
             keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
         for key in keys:
             (_, l1), (_, l2) = key
-            v = self.amplitudes.get(key, 0j)
-            lines.append(f"({l1}, {l2}) {fmt15(v.real)} {fmt15(v.imag)}")
+            lines.append(f"({l1}, {l2}) {fmt15_complex(self.amplitudes.get(key, 0j))}")
         return "\n".join(lines) + "\n"
+
+
+def _pair_state(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor, amplitudes: dict) -> PairState:
+    """PairState(desc_a, desc_b, amplitudes) for descriptors that were
+    checked where they entered: canonical order, no type check again."""
+    state = object.__new__(PairState)
+    vars(state).update(desc_a=desc_a, desc_b=desc_b, amplitudes=amplitudes)
+    state._put_in_order()
+    return state
 
 
 @dataclass(frozen=True, init=False)
@@ -274,10 +283,14 @@ def _follow(
     prev: ParticleDescriptor, nxt: ParticleDescriptor, r: UnitQuaternion
 ) -> ParticleDescriptor:
     """The derived-rotation rule: nxt in the slot after prev, with R_BS =
-    R_prev * r for the half-turn r relating the two slots. Built by an
-    explicit call, without dataclasses.replace's field introspection."""
+    R_prev * r for the half-turn r relating the two slots. nxt's fields were
+    checked when it was built, so they are copied without the constructor:
+    the content key is shared, and the sort key takes the new R_BS bits."""
     r_bs = compose(prev.R_BS, r)
-    return ParticleDescriptor(Q=nxt.Q, p=nxt.p, s=nxt.s, m=nxt.m, base=nxt.base, R_BS=r_bs)
+    derived = object.__new__(ParticleDescriptor)
+    vars(derived).update(vars(nxt), R_BS=r_bs)
+    derived._set_keys(nxt.content_key(), float_bits(r_bs.components()))
+    return derived
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
@@ -310,6 +323,13 @@ def assemble_pair_canonical_orderfree(
     their amplitudes add.
     """
     _require_descriptors(desc_a, desc_b)
+    return _assemble(desc_a, desc_b, R_a, R_b)
+
+
+def _assemble(
+    desc_a: ParticleDescriptor, desc_b: ParticleDescriptor, R_a: UnitQuaternion, R_b: UnitQuaternion
+) -> PairState:
+    """assemble_pair_canonical_orderfree past its descriptor check."""
     _require_noncollinear(desc_a, desc_b)
     col_a = rotate_sqf(desc_a, R_a).tolist()
     col_b = rotate_sqf(desc_b, R_b).tolist()
@@ -318,7 +338,7 @@ def assemble_pair_canonical_orderfree(
     keys = _joint_keys(desc_a.content_key(), desc_b.content_key())
     for key, v in zip(keys, products):
         amps[key] = amps.get(key, 0j) + v
-    return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
+    return _pair_state(desc_a, desc_b, amps)
 
 
 def _require_amplitude_matrix(matrix: object, what: str, shape: tuple[int, int]) -> None:
@@ -363,7 +383,7 @@ def pair_state_from_matrix(
     _require_noncollinear(desc_a, desc_b)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
-    return PairState(desc_a=desc_a, desc_b=desc_b, amplitudes=amps)
+    return _pair_state(desc_a, desc_b, amps)
 
 
 def pure_permute(state: PairState) -> PairState:
@@ -374,11 +394,7 @@ def pure_permute(state: PairState) -> PairState:
     input: pure permutation of an order-free description is the identity.
     """
     _require_instance(state, PairState, "state must be a PairState, got {type}")
-    return PairState(
-        desc_a=state.desc_b,
-        desc_b=state.desc_a,
-        amplitudes=dict(state.amplitudes),
-    )
+    return _pair_state(state.desc_b, state.desc_a, dict(state.amplitudes))
 
 
 def _two_slots(ordered: OrderedDescription, what: str) -> tuple[ParticleDescriptor, ...]:
@@ -420,11 +436,11 @@ def exchange_order_dependent(
         turns = [0, 1]
     # the exchanged pair has the same bisector, so its half-turn is r21
     second = _follow(first, d1, r21)
-    state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)
+    state = _assemble(first, second, first.R_BS, second.R_BS)
     return state, order_dependence_phase(turns, [d1.s, d2.s])
 
 
 def assemble_ordered(ordered: OrderedDescription) -> PairState:
     """Assemble a two-slot ordered description with its derived rotations."""
     d1, d2 = _two_slots(ordered, "pair assembly")
-    return assemble_pair_canonical_orderfree(d1, d2, d1.R_BS, d2.R_BS)
+    return _assemble(d1, d2, d1.R_BS, d2.R_BS)

@@ -12,7 +12,10 @@ composite-basis amplitudes by summing coefficient times amplitude entry by
 entry (no change-of-basis matrix), rotation matrices from the Rodrigues
 formula, parity-constraint solutions by trying every assignment or by a
 depth-first 2-colouring of the whole constraint graph, and commuting
-families by searching every subfamily.
+families by searching every subfamily. The frame geometry (bisector,
+helicity axes, triad check) is kept here in its vector-object form, every
+step a method that builds a new vector, to pin the package's float-triple
+forms bit for bit.
 """
 
 from __future__ import annotations
@@ -295,3 +298,91 @@ def max_pairwise_commuting(matrices, tol: float = 1e-12) -> int:
         if all(commutes[a][b] for ai, a in enumerate(chosen) for b in chosen[ai + 1 :]):
             best = len(chosen)
     return best
+
+
+class Vec:
+    """A 3-vector whose methods each build a new vector: the object form of
+    the package's frame arithmetic, step for step in the same operations and
+    order."""
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        self.x, self.y, self.z = x, y, z
+
+    def __add__(self, other: Vec) -> Vec:
+        return Vec(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def scaled(self, c: float) -> Vec:
+        return Vec(c * self.x, c * self.y, c * self.z)
+
+    def dot(self, other: Vec) -> float:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+    def cross(self, other: Vec) -> Vec:
+        return Vec(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
+
+    def norm(self) -> float:
+        return math.sqrt(self.dot(self))
+
+    def normalized(self) -> Vec:
+        n = self.norm()
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return self.scaled(1.0 / n)
+
+    def pow2_scaled(self) -> Vec:
+        _, e = math.frexp(max(abs(self.x), abs(self.y), abs(self.z)))
+        return Vec(math.ldexp(self.x, -e), math.ldexp(self.y, -e), math.ldexp(self.z, -e))
+
+    def components(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
+
+
+# the package's geometry tolerance, EPS_GEOM
+GEOM_TOL = 1e-9
+
+
+def bisector_vec(p_a, p_b) -> tuple[float, float, float]:
+    """Unit bisector of two finite momenta (x, y, z), by vector methods; a
+    ValueError with the package's message for a zero or antiparallel pair."""
+    a, b = Vec(*p_a).pow2_scaled(), Vec(*p_b).pow2_scaled()
+    s = a.normalized() + b.normalized()
+    if s.norm() < GEOM_TOL:
+        raise ValueError("bisector undefined for antiparallel directions")
+    return s.normalized().components()
+
+
+def helicity_axes_vec(p_this, p_other) -> tuple[tuple[float, float, float], ...]:
+    """(xhat, yhat, zhat) of the helicity frame of p_this with partner
+    p_other, finite momenta (x, y, z), by vector methods; a ValueError with
+    the package's message when they do not span a plane."""
+    p, q = Vec(*p_this).pow2_scaled(), Vec(*p_other).pow2_scaled()
+    n_p, n_q = p.norm(), q.norm()
+    if n_p == 0.0 or n_q == 0.0:
+        raise ValueError("helicity frame undefined for collinear momenta")
+    normal = p.cross(q)
+    if normal.norm() < GEOM_TOL * n_p * n_q:
+        raise ValueError("helicity frame undefined for collinear momenta")
+    zhat = p.normalized()
+    yhat = normal.normalized()
+    return (yhat.cross(zhat).components(), yhat.components(), zhat.components())
+
+
+def triad_error_vec(xhat, yhat, zhat) -> str | None:
+    """The package's message for a triad (x, y, z) x 3 that is not a
+    right-handed orthonormal frame within GEOM_TOL, or None, by vector
+    methods; each test is positive, so NaN fails it."""
+    x, y, z = Vec(*xhat), Vec(*yhat), Vec(*zhat)
+    for v, name in ((x, "xhat"), (y, "yhat"), (z, "zhat")):
+        if not abs(v.norm() - 1.0) <= GEOM_TOL:
+            return f"{name} is not unit length"
+    if not (
+        abs(x.dot(y)) <= GEOM_TOL and abs(y.dot(z)) <= GEOM_TOL and abs(z.dot(x)) <= GEOM_TOL
+    ):
+        return "frame axes are not mutually orthogonal"
+    if not x.cross(y).dot(z) >= 0.0:
+        return "frame is left-handed (xhat x yhat points against zhat)"
+    return None

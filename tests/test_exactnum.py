@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinframes
@@ -20,6 +21,7 @@ from spinframes import (
     total_spins,
 )
 from spinframes.exactnum import N_FACT, factorial_exact, float_bits, fmt15, fmt15_join, neg_one_pow
+from spinframes.exactnum import fmt15_complex
 from spinframes import cli, composite, exactnum, states
 
 
@@ -130,9 +132,26 @@ def test_fmt15_join_is_fmt15_comma_joined():
     assert fmt15_join(()) == ""
 
 
+def test_fmt15_complex_is_the_amplitude_text():
+    # each part through fmt15, so a signed zero prints as 0 in either place
+    for v, want in (
+        (complex(-0.0, -0.0), "0 0"),
+        (complex(0.0, -0.0), "0 0"),
+        (complex(-0.0, 0.5), "0 0.5"),
+        (complex(-1.5, -0.0), "-1.5 0"),
+        (complex(2.0 / 3.0, -1e-300), "0.666666666666667 -1e-300"),
+        (complex(1e300, -2.5), "1e+300 -2.5"),
+    ):
+        assert fmt15_complex(v) == want
+        assert fmt15_complex(v) == f"{fmt15(v.real)} {fmt15(v.imag)}"
+    # numpy's complex scalars and plain floats read the same
+    assert fmt15_complex(np.complex128(-0.0 - 0.25j)) == "0 -0.25"
+    assert fmt15_complex(-0.0) == "0 0"
+
+
 def test_float_bits_are_the_uint64_patterns_and_part_signed_zeros():
     values = (0.0, -0.0, 1.0, -5e-324, 1e300, math.inf, -math.inf, 2.0 / 3.0)
-    for n in (4, 7):
+    for n in (3, 4, 7):
         for start in range(len(values) - n + 1):
             part = values[start:start + n]
             want = tuple(struct.unpack("<Q", struct.pack("<d", x))[0] for x in part)

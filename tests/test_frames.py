@@ -3,6 +3,7 @@ frames, and the sheet bookkeeping on the double cover."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from spinframes import (
     relative_rotation,
     to_matrix3,
 )
+from oracles import bisector_vec, helicity_axes_vec, triad_error_vec
+from spinframes.exactnum import float_bits
 from spinframes.frames import HelicityFrame, cm_polar_relation
+from spinframes.rotations import _require_right_handed_triad
 from util import figure_pair, rand_noncollinear_pair
 
 S45 = math.sin(math.pi / 4.0)
@@ -285,3 +289,102 @@ def test_frames_at_tolerance_boundary():
     eps = 10.0 * EPS_GEOM
     f = helicity_frame(Vec3(0.0, 0.0, 1.0), Vec3(eps, 0.0, 1.0))
     assert close(f.yhat, Vec3(0.0, 1.0, 0.0), 1e-9)
+
+
+def extreme_momentum(rng: random.Random) -> tuple[float, float, float]:
+    """Components from 2^-1000 to 2^1000 in magnitude, sharing one binary
+    exponent or each drawing its own, and about one in seven a signed zero."""
+    shared = rng.randint(-1000, 1000)
+    comps = []
+    for _ in range(3):
+        if rng.random() < 0.15:
+            comps.append(rng.choice((0.0, -0.0)))
+        else:
+            e = shared if rng.random() < 0.7 else rng.randint(-1000, 1000)
+            comps.append(math.ldexp(rng.uniform(-1.0, 1.0), e))
+    return tuple(comps)
+
+
+def outcome(fn, *args):
+    """("ok", the uint64 bits of each returned triple) or ("error", message)."""
+    try:
+        triples = fn(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", tuple(float_bits(t) for t in triples))
+
+
+def package_axes(p, q):
+    f = helicity_frame(Vec3(*p), Vec3(*q))
+    return tuple(v.components() for v in (f.xhat, f.yhat, f.zhat))
+
+
+def oracle_axes(p, q):
+    axes = helicity_axes_vec(p, q)
+    error = triad_error_vec(*axes)
+    if error is not None:
+        raise ValueError(error)
+    return axes
+
+
+def package_triad(*axes):
+    _require_right_handed_triad(*(Vec3(*a) for a in axes))
+    return ()
+
+
+def oracle_triad(*axes):
+    error = triad_error_vec(*axes)
+    if error is not None:
+        raise ValueError(error)
+    return ()
+
+
+def test_float_geometry_is_bit_identical_to_the_vector_method_forms():
+    rng = random.Random(2300)
+    pairs = [(extreme_momentum(rng), extreme_momentum(rng)) for _ in range(3000)]
+    for p, _ in pairs[:300]:
+        c = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-40, 40))
+        pairs += [(p, tuple(c * x for x in p)), (p, tuple(-c * x for x in p)), (p, (0.0, -0.0, 0.0))]
+    seen = Counter()
+    for p, q in pairs:
+        got = outcome(lambda: (bisector_axis(Vec3(*p), Vec3(*q)).components(),))
+        assert got == outcome(lambda: (bisector_vec(p, q),)), (p, q)
+        seen["bisector", got[0]] += 1
+        got = outcome(package_axes, p, q)
+        assert got == outcome(oracle_axes, p, q), (p, q)
+        seen["axes", got[0]] += 1
+        if got[0] == "ok":
+            x, y, z = helicity_axes_vec(p, q)
+            tilted = tuple(a + 1e-8 * b for a, b in zip(x, y))
+            stretched = tuple((1.0 + 1e-8) * a for a in z)
+            for triad in (
+                (x, y, z), (y, x, z), (x, y, tuple(-a for a in z)), (tilted, y, z),
+                (x, y, stretched), (x, (math.nan, *y[1:]), z), (z, x, y),
+            ):
+                got = outcome(package_triad, *triad)
+                assert got == outcome(oracle_triad, *triad), triad
+                seen["triad", got[1] if got[0] == "error" else "ok"] += 1
+    # every branch is reached: results and each error
+    assert seen["bisector", "ok"] > 2000 and seen["bisector", "error"] > 300
+    assert seen["axes", "ok"] > 2000 and seen["axes", "error"] > 600
+    assert len([k for k in seen if k[0] == "triad"]) == 5
+
+
+def test_frame_geometry_builds_vec3s_only_for_what_it_returns(monkeypatch):
+    p_a, p_b = figure_pair(0.7)
+    built = []
+    init = Vec3.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Vec3, "__init__", counted)
+    bisector_axis(p_a, p_b)
+    assert len(built) <= 1
+    built.clear()
+    helicity_frame(p_a, p_b)
+    assert len(built) <= 3
+    built.clear()
+    Vec3(1.0, 0.0, 0.0)  # the count is live
+    assert built == [1]

@@ -2,7 +2,9 @@
 wrong-typed argument to any public callable is a TypeError whose message
 starts with the argument's name."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,13 +182,31 @@ ROWS = (
 METHODS = {"CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight"}
 
 
-@pytest.mark.parametrize(
-    "name, what, call", ROWS, ids=[f"{name}-{what}-{i}" for i, (name, what, _) in enumerate(ROWS)]
-)
+def _call_texts() -> list[str]:
+    """Each row's call as written in this file, in row order, whitespace
+    collapsed: so a row's test id follows from its content, wherever the
+    row stands."""
+    source = Path(__file__).read_text()
+    rows = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROWS"
+    )
+    return [" ".join(ast.get_source_segment(source, row.elts[2].body).split()) for row in rows.elts]
+
+
+IDS = [f"{name}-{what}-{text}" for (name, what, _), text in zip(ROWS, _call_texts(), strict=True)]
+
+
+@pytest.mark.parametrize("name, what, call", ROWS, ids=IDS)
 def test_wrong_type_is_a_type_error_naming_the_argument(name, what, call):
     with pytest.raises(TypeError) as got:
         call()
     assert str(got.value).startswith(f"{what} must be "), str(got.value)
+
+
+def test_sweep_ids_are_unique():
+    assert len(IDS) == len(ROWS) and len(set(IDS)) == len(IDS)
 
 
 def test_every_public_callable_has_a_row_or_an_exemption():

@@ -800,3 +800,49 @@ def test_allclose_requires_same_descriptors():
     assert not s1.allclose(s2)
     assert s1.allclose(s1.scaled(1.0))
     assert not s1.allclose(s1.scaled(1.0 + 10 * EPS))
+
+
+def test_follow_derives_what_the_public_constructor_builds():
+    # slot derivation copies a checked descriptor without its constructor;
+    # the result must be the descriptor the constructor would build
+    rng = random.Random(2301)
+    signed = (0.0, -0.0)
+    for i in range(300):
+        comps = [rng.choice(signed) if rng.random() < 0.2 else rng.gauss(0.0, 1.0) for _ in range(6)]
+        p_prev, p_nxt = Vec3(*comps[:3]), Vec3(*comps[3:])
+        base = rng.choice((FrameTag.CANONICAL, FrameTag.HELICITY))
+        prev = rand_descriptor(rng, rng.choice("ud"), p_prev, max_twice_spin=12, base=base)
+        nxt = rand_descriptor(rng, rng.choice("ud"), p_nxt, max_twice_spin=12, base=base)
+        r = rand_quaternion(rng) if i % 2 else -rand_quaternion(rng)
+        derived = states._follow(prev, nxt, r)
+        built = ParticleDescriptor(
+            Q=nxt.Q, p=nxt.p, s=nxt.s, m=nxt.m, base=nxt.base, R_BS=compose(prev.R_BS, r)
+        )
+        assert derived == built and hash(derived) == hash(built)
+        assert derived.sort_key() == built.sort_key()
+        assert derived.content_key() == built.content_key()
+        assert derived.content_key() is nxt.content_key()  # shared, not rebuilt
+        assert str(derived) == str(built)
+        assert repr(derived) == repr(built)
+
+
+def test_exchange_builds_no_descriptor_through_the_constructor(monkeypatch):
+    # the exchanged slots derive from checked descriptors: no field is
+    # checked a second time
+    p_a, p_b = figure_pair(0.6)
+    ordered = OrderedDescription(
+        [make_desc("a", p_a, 3, 1, base=FrameTag.HELICITY), make_desc("b", p_b, 2, 0)]
+    )
+    checked = []
+    post_init = ParticleDescriptor.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ParticleDescriptor, "__post_init__", counted)
+    for case in ExchangeCase:
+        exchange_order_dependent(ordered, case)
+    assert checked == []
+    make_desc("c", p_a, 1, 1)  # the count is live
+    assert len(checked) == 1
