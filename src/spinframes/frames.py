@@ -89,7 +89,12 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     zhat = _unit3(p_this)
     yhat = _unit3(normal)
     xhat = _cross3(yhat, zhat)
-    return HelicityFrame(particle_tag=tag, xhat=Vec3(*xhat), yhat=Vec3(*yhat), zhat=Vec3(*zhat))
+    try:
+        return HelicityFrame(particle_tag=tag, xhat=Vec3(*xhat), yhat=Vec3(*yhat), zhat=Vec3(*zhat))
+    except ValueError:
+        # momenta that pass the threshold above by a hair leave the normal
+        # too much rounding error for an orthonormal triad
+        raise CollinearMomentaError("helicity frame undefined for collinear momenta") from None
 
 
 def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
@@ -101,17 +106,12 @@ def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:
     """
     _require_finite(p_a, "momentum")
     _require_finite(p_b, "momentum")
-    return Vec3(*_bisector(p_a, p_b))
-
-
-def _bisector(p_a: Vec3, p_b: Vec3) -> _Triple:
-    """bisector_axis of two finite momenta, as a float triple."""
     a, b = _scaled_momenta(p_a, p_b)
     a, b = _unit3(a), _unit3(b)
     s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     if _norm3(s) < EPS_GEOM:
         raise ValueError("bisector undefined for antiparallel directions")
-    return _unit3(s)
+    return Vec3(*_unit3(s))
 
 
 def cm_polar_relation(theta: float, phi: float) -> tuple[float, float]:
@@ -143,8 +143,7 @@ def relative_rotation(
     """
     _require_instance(frame_from, HelicityFrame, "frame_from must be a HelicityFrame, got {type}")
     _require_instance(frame_to, HelicityFrame, "frame_to must be a HelicityFrame, got {type}")
-    # the frames' axes passed the triad check, so they are finite
-    q = half_turn(Vec3(*_bisector(frame_from.zhat, frame_to.zhat)), sheet)
+    q = half_turn(bisector_axis(frame_from.zhat, frame_to.zhat), sheet)
     if _frame_residual(q, frame_from, frame_to) > EPS_GEOM:
         raise FrameMismatchError(
             "half-turn about the bisector does not relate these frames; "

@@ -100,9 +100,16 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self) -> None:
-        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        # written as a positive test so that NaN components are rejected too
-        if not abs(n2 - 1.0) <= EPS:
+        # a positive test, so that NaN components are rejected too, and a
+        # chained one, which raises on a complex norm where abs would not
+        try:
+            n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+            unit = -EPS <= n2 - 1.0 <= EPS
+        except TypeError:
+            raise TypeError(
+                f"quaternion components must be real numbers, got {self.components()!r}"
+            ) from None
+        if not unit:
             raise ValueError(f"quaternion norm^2 = {n2!r} is not 1 within {EPS}")
 
     def __neg__(self) -> UnitQuaternion:
@@ -125,9 +132,14 @@ def _pow2_scaled(p: _Triple) -> _Triple:
 
 
 def _require_finite(v: Vec3, what: str) -> None:
-    """TypeError naming what unless v is a Vec3, ValueError unless finite."""
+    """TypeError naming what unless v is a Vec3 of real numbers, ValueError
+    unless finite."""
     _require_instance(v, Vec3, what + " must be a Vec3, got {value!r}")
-    if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):
+    try:
+        finite = math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)
+    except TypeError:
+        raise TypeError(f"{what} must be a Vec3 of real numbers, got {v!r}") from None
+    if not finite:
         raise ValueError(f"{what} {v.x!r},{v.y!r},{v.z!r} is not finite")
 
 

@@ -153,9 +153,6 @@ class PairState:
 
     def __post_init__(self) -> None:
         _require_descriptors(self.desc_a, self.desc_b)
-        self._put_in_order()
-
-    def _put_in_order(self) -> None:
         if self.desc_b.sort_key() < self.desc_a.sort_key():
             a, b = self.desc_b, self.desc_a
             object.__setattr__(self, "desc_a", a)
@@ -217,9 +214,7 @@ class PairState:
         """Every amplitude times c; a non-finite c raises ValueError."""
         if not np.isfinite(c):
             raise ValueError(f"scale factor {c!r} is not finite")
-        return _pair_state(
-            self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()}
-        )
+        return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 
     def dump(self) -> str:
         """Serialize: header with both descriptors, then one line per joint
@@ -235,15 +230,6 @@ class PairState:
             (_, l1), (_, l2) = key
             lines.append(f"({l1}, {l2}) {fmt15_complex(self.amplitudes.get(key, 0j))}")
         return "\n".join(lines) + "\n"
-
-
-def _pair_state(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor, amplitudes: dict) -> PairState:
-    """PairState(desc_a, desc_b, amplitudes) for descriptors that were
-    checked where they entered: canonical order, no type check again."""
-    state = object.__new__(PairState)
-    vars(state).update(desc_a=desc_a, desc_b=desc_b, amplitudes=amplitudes)
-    state._put_in_order()
-    return state
 
 
 @dataclass(frozen=True, init=False)
@@ -323,13 +309,6 @@ def assemble_pair_canonical_orderfree(
     their amplitudes add.
     """
     _require_descriptors(desc_a, desc_b)
-    return _assemble(desc_a, desc_b, R_a, R_b)
-
-
-def _assemble(
-    desc_a: ParticleDescriptor, desc_b: ParticleDescriptor, R_a: UnitQuaternion, R_b: UnitQuaternion
-) -> PairState:
-    """assemble_pair_canonical_orderfree past its descriptor check."""
     _require_noncollinear(desc_a, desc_b)
     col_a = rotate_sqf(desc_a, R_a).tolist()
     col_b = rotate_sqf(desc_b, R_b).tolist()
@@ -338,7 +317,7 @@ def _assemble(
     keys = _joint_keys(desc_a.content_key(), desc_b.content_key())
     for key, v in zip(keys, products):
         amps[key] = amps.get(key, 0j) + v
-    return _pair_state(desc_a, desc_b, amps)
+    return PairState(desc_a, desc_b, amps)
 
 
 def _require_amplitude_matrix(matrix: object, what: str, shape: tuple[int, int]) -> None:
@@ -383,7 +362,7 @@ def pair_state_from_matrix(
     _require_noncollinear(desc_a, desc_b)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
-    return _pair_state(desc_a, desc_b, amps)
+    return PairState(desc_a, desc_b, amps)
 
 
 def pure_permute(state: PairState) -> PairState:
@@ -394,7 +373,7 @@ def pure_permute(state: PairState) -> PairState:
     input: pure permutation of an order-free description is the identity.
     """
     _require_instance(state, PairState, "state must be a PairState, got {type}")
-    return _pair_state(state.desc_b, state.desc_a, dict(state.amplitudes))
+    return PairState(state.desc_b, state.desc_a, dict(state.amplitudes))
 
 
 def _two_slots(ordered: OrderedDescription, what: str) -> tuple[ParticleDescriptor, ...]:
@@ -436,11 +415,11 @@ def exchange_order_dependent(
         turns = [0, 1]
     # the exchanged pair has the same bisector, so its half-turn is r21
     second = _follow(first, d1, r21)
-    state = _assemble(first, second, first.R_BS, second.R_BS)
+    state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)
     return state, order_dependence_phase(turns, [d1.s, d2.s])
 
 
 def assemble_ordered(ordered: OrderedDescription) -> PairState:
     """Assemble a two-slot ordered description with its derived rotations."""
     d1, d2 = _two_slots(ordered, "pair assembly")
-    return _assemble(d1, d2, d1.R_BS, d2.R_BS)
+    return assemble_pair_canonical_orderfree(d1, d2, d1.R_BS, d2.R_BS)

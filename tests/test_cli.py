@@ -280,10 +280,19 @@ def test_byte_determinism():
 
 
 def test_collinear_momenta_exit_2():
-    r = run_cli("frames", "--pa", "0,0,1", "--pb", "0,0,2")
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert r.stderr == "helicity frame undefined for collinear momenta\n"
+    for args in (
+        ("--pa", "0,0,1", "--pb", "0,0,2"),
+        # directions about 1e-8 apart: above the collinearity threshold, but
+        # the normal is too rounded for an orthonormal triad
+        (
+            "--pa=-0.2530210960357105,-0.3022294347264799,-0.9190417257914899",
+            "--pb=-0.2530211128203417,-0.3022294356384742,-0.9190417423666852",
+        ),
+    ):
+        r = run_cli("frames", *args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "helicity frame undefined for collinear momenta\n"
 
 
 def test_input_errors_exit_2():

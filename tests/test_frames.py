@@ -22,7 +22,7 @@ from oracles import bisector_vec, helicity_axes_vec, triad_error_vec
 from spinframes.exactnum import float_bits
 from spinframes.frames import HelicityFrame, cm_polar_relation
 from spinframes.rotations import _require_right_handed_triad
-from util import figure_pair, rand_noncollinear_pair
+from util import figure_pair, rand_noncollinear_pair, rand_unit_vec
 
 S45 = math.sin(math.pi / 4.0)
 C45 = math.cos(math.pi / 4.0)
@@ -289,6 +289,25 @@ def test_frames_at_tolerance_boundary():
     eps = 10.0 * EPS_GEOM
     f = helicity_frame(Vec3(0.0, 0.0, 1.0), Vec3(eps, 0.0, 1.0))
     assert close(f.yhat, Vec3(0.0, 1.0, 0.0), 1e-9)
+
+
+def test_nearly_collinear_momenta_fail_as_collinear():
+    # directions 1e-9 to 1e-7 apart straddle the collinearity threshold; a
+    # pair just above it can leave the normal too rounded for an orthonormal
+    # triad, and fails with the error of a pair below it
+    rng = random.Random(2401)
+    outcomes = Counter()
+    for _ in range(2000):
+        u, w = rand_unit_vec(rng), rand_unit_vec(rng)
+        v = (u + w.scaled(10.0 ** rng.uniform(-9.0, -7.0))).normalized()
+        try:
+            helicity_frame(u, v)
+        except CollinearMomentaError as exc:
+            assert str(exc) == "helicity frame undefined for collinear momenta"
+            outcomes["collinear"] += 1
+        else:
+            outcomes["built"] += 1
+    assert outcomes["collinear"] and outcomes["built"]
 
 
 def extreme_momentum(rng: random.Random) -> tuple[float, float, float]:

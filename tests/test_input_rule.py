@@ -65,9 +65,10 @@ EXEMPT = (
     "EPS", "EPS_GEOM", "MAX_TWICE_SPIN", "IDENTITY",
     # enums and exception types
     "ExchangeCase", "FrameTag", "CollinearMomentaError", "FrameMismatchError",
-    # value types: their components are plain numbers, not type-checked, as
-    # the package builds tens of them per pair operation; every Vec3 or
-    # UnitQuaternion argument is checked where it enters (rows below)
+    # value types: the package builds tens of them per pair operation, so
+    # their constructors check no component's type; a Vec3's components are
+    # checked by the function they enter (rows below), and a UnitQuaternion's
+    # norm test rejects components that are not real (test_rotations.py)
     "Vec3", "UnitQuaternion",
 )
 
@@ -177,6 +178,19 @@ ROWS = (
     ("build_pair_spin_operator", "subset", lambda: build_pair_spin_operator(3, HALF, 5)),
     ("OrderedDescription", "slots", lambda: OrderedDescription(5)),
     ("helicity_frame", "tag", lambda: helicity_frame(P_A, P_B, tag=5)),
+    # components that are not real numbers, named where the Vec3 enters
+    ("helicity_frame", "momentum", lambda: helicity_frame(Vec3("a", 0.0, 0.0), P_B)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(P_A, Vec3(0.0, None, 1.0))),
+    ("helicity_frame", "momentum", lambda: helicity_frame(Vec3(0.0, 0.0, 1 + 0j), P_B)),
+    ("bisector_axis", "momentum", lambda: bisector_axis(Vec3("a", 0.0, 0.0), P_B)),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, Vec3(0.0, None, 1.0))),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, Vec3(0.0, 0.0, 1 + 0j))),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3("a", 0.0, 1.0), 1.0)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(None, 0.0, 1.0), 1.0)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, 0.0, 1 + 0j), 1.0)),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, "a", 1.0))),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, 0.0, None))),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(1 + 0j, 0.0, 1.0))),
 )
 # methods of objects that public callables return, checked like the callables
 METHODS = {"CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight"}

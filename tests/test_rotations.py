@@ -38,6 +38,19 @@ def test_unit_quaternion_rejects_non_finite():
             UnitQuaternion(0.5, 0.5, 0.5, bad)
 
 
+def test_unit_quaternion_names_components_that_are_not_real():
+    # the norm test rejects them: a complex norm cannot be compared
+    for comps in (
+        ("a", 0.0, 0.0, 0.0),
+        (None, 0.0, 0.0, 0.0),
+        (1 + 0j, 0.0, 0.0, 0.0),
+        (0.5, 0.5, 0.5, 0.5 + 0j),
+        (0.5, 0.5, 0.5, None),
+    ):
+        with pytest.raises(TypeError, match=r"^quaternion components must be real numbers, got \("):
+            UnitQuaternion(*comps)
+
+
 def test_vec3_normalize_zero_rejected():
     with pytest.raises(ValueError):
         Vec3(0.0, 0.0, 0.0).normalized()

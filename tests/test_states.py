@@ -802,6 +802,40 @@ def test_allclose_requires_same_descriptors():
     assert not s1.allclose(s1.scaled(1.0 + 10 * EPS))
 
 
+def test_every_pair_state_runs_its_constructor_once_in_canonical_order(monkeypatch):
+    p_a, p_b = figure_pair(0.6)
+    # "b" sorts after "a", so half of the builds below must reorder
+    db = make_desc("b", p_a, 3, 1, base=FrameTag.HELICITY)
+    da = make_desc("a", p_b, 2, 0)
+    state = assemble_pair_canonical_orderfree(db, da, IDENTITY, IDENTITY)
+    checked = []
+    post_init = PairState.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PairState, "__post_init__", counted)
+    for first, second in ((db, da), (da, db)):
+        ordered = OrderedDescription([first, second])
+        builds = {
+            "assembly": lambda: assemble_pair_canonical_orderfree(first, second, IDENTITY, IDENTITY),
+            "FIRST": lambda: exchange_order_dependent(ordered, ExchangeCase.FIRST)[0],
+            "SECOND": lambda: exchange_order_dependent(ordered, ExchangeCase.SECOND)[0],
+            "assemble_ordered": lambda: assemble_ordered(ordered),
+            "pair_state_from_matrix": lambda: pair_state_from_matrix(
+                first, second, np.ones((first.s.dim, second.s.dim))
+            ),
+            "pure_permute": lambda: pure_permute(state),
+            "scaled": lambda: state.scaled(2j),
+        }
+        for name, build in builds.items():
+            checked.clear()
+            got = build()
+            assert len(checked) == 1 and checked[0] is got, name
+            assert got.desc_a.sort_key() < got.desc_b.sort_key(), name
+
+
 def test_follow_derives_what_the_public_constructor_builds():
     # slot derivation copies a checked descriptor without its constructor;
     # the result must be the descriptor the constructor would build
