@@ -100,10 +100,12 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self) -> None:
-        # a positive test, so that NaN components are rejected too, and a
-        # chained one, which raises on a complex norm where abs would not
+        # a positive test, so that NaN components are rejected too; a norm
+        # that is not real fails, numpy's complex ones (which it orders) too
         try:
             n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+            if not (type(n2) is float or isinstance(n2, numbers.Real)):
+                raise TypeError
             unit = -EPS <= n2 - 1.0 <= EPS
         except TypeError:
             raise TypeError(
@@ -135,12 +137,13 @@ def _require_finite(v: Vec3, what: str) -> None:
     """TypeError naming what unless v is a Vec3 of real numbers, ValueError
     unless finite."""
     _require_instance(v, Vec3, what + " must be a Vec3, got {value!r}")
-    try:
-        finite = math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)
-    except TypeError:
-        raise TypeError(f"{what} must be a Vec3 of real numbers, got {v!r}") from None
-    if not finite:
-        raise ValueError(f"{what} {v.x!r},{v.y!r},{v.z!r} is not finite")
+    x, y, z = v.x, v.y, v.z
+    # a float triple passes the first test; a numpy complex fails the second,
+    # where math.isfinite would warn and read its real part
+    if not (type(x) is type(y) is type(z) is float or all(isinstance(c, numbers.Real) for c in (x, y, z))):
+        raise TypeError(f"{what} must be a Vec3 of real numbers, got {v!r}")
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"{what} {x!r},{y!r},{z!r} is not finite")
 
 
 def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
@@ -200,6 +203,15 @@ def compose(q1: UnitQuaternion, q2: UnitQuaternion) -> UnitQuaternion:
 def inverse(q: UnitQuaternion) -> UnitQuaternion:
     """Conjugate quaternion; compose(q, inverse(q)) is +identity, never -identity."""
     return UnitQuaternion(q.w, -q.x, -q.y, -q.z)
+
+
+def turn_parity(r_old: UnitQuaternion, r_new: UnitQuaternion) -> int:
+    """Full turns mod 2 from r_old to r_new: 0 for r_old, 1 for -r_old, and
+    ValueError for any other 3-D rotation, which no turn count relates."""
+    dot = r_old.w * r_new.w + r_old.x * r_new.x + r_old.y * r_new.y + r_old.z * r_new.z
+    if not abs(dot) >= 1.0 - EPS_GEOM:
+        raise ValueError(f"rotations {r_old!r} and {r_new!r} are not a whole number of turns apart")
+    return 0 if dot > 0.0 else 1
 
 
 def to_matrix3(q: UnitQuaternion) -> np.ndarray:

@@ -13,7 +13,8 @@ rotations instead. The basis layout is spelled out once, in _joint_keys,
 which builds it once per content pair.
 Order-dependent conventions, where the second slot's rotation is derived
 from the first's through a half-turn about the momentum bisector, pick up
-(-1)^(2s) phases from the turn-sign law order_dependence_phase (exactnum).
+(-1)^(2s) phases: the turn-sign law order_dependence_phase (exactnum) of the
+turns measured on each particle's rotation (rotations.turn_parity).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, fmt15_join
 from .exactnum import m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
-from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse
+from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse, turn_parity
 from .wigner import _evaluate
 
 
@@ -80,11 +81,9 @@ class ParticleDescriptor:
         p, r = self.p, self.R_BS
         # one pack for both keys costs no more than a pack per key
         bits = float_bits((p.x, p.y, p.z, r.w, r.x, r.y, r.z))
-        self._set_keys((self.Q, bits[:3], self.s.twice), bits[3:])
-
-    def _set_keys(self, content: tuple, r_bits: tuple) -> None:
+        content = (self.Q, bits[:3], self.s.twice)
         object.__setattr__(self, "_content_key", content)
-        object.__setattr__(self, "_sort_key", (content, self.m, self.base.value, r_bits))
+        object.__setattr__(self, "_sort_key", (content, self.m, self.base.value, bits[3:]))
 
     def content_key(self) -> tuple:
         """Total-order key for the particle content; Q compares bytewise and
@@ -269,14 +268,8 @@ def _follow(
     prev: ParticleDescriptor, nxt: ParticleDescriptor, r: UnitQuaternion
 ) -> ParticleDescriptor:
     """The derived-rotation rule: nxt in the slot after prev, with R_BS =
-    R_prev * r for the half-turn r relating the two slots. nxt's fields were
-    checked when it was built, so they are copied without the constructor:
-    the content key is shared, and the sort key takes the new R_BS bits."""
-    r_bs = compose(prev.R_BS, r)
-    derived = object.__new__(ParticleDescriptor)
-    vars(derived).update(vars(nxt), R_BS=r_bs)
-    derived._set_keys(nxt.content_key(), float_bits(r_bs.components()))
-    return derived
+    R_prev * r for the half-turn r relating the two slots."""
+    return ParticleDescriptor(nxt.Q, nxt.p, nxt.s, nxt.m, nxt.base, compose(prev.R_BS, r))
 
 
 def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
@@ -400,21 +393,18 @@ def exchange_order_dependent(
         turn lands on the new slot-1 particle instead; phase (-1)^(2s) of
         the particle originally in slot 2.
 
-    Returns the exchanged state and that phase, order_dependence_phase of
-    turn counts (1, 0) or (0, 1); the exchanged state equals phase times the
-    assembled original within EPS. The cases differ by (-1)^(2s_a + 2s_b).
+    Returns the exchanged state and order_dependence_phase of the turns
+    turn_parity measures on each particle; the state is that phase times
+    the original within EPS. Cases differ by (-1)^(2s_a + 2s_b).
     """
     d1, d2 = _two_slots(ordered, "exchange")
     _require_instance(case, ExchangeCase, "case must be an ExchangeCase, got {value!r}")
     r21 = ordered.half_turns[0]
-    if case is ExchangeCase.FIRST:
-        first = d2  # keeps its rotation, compose(d1.R_BS, r21)
-        turns = [1, 0]
-    else:
-        first = _follow(d1, d2, inverse(r21))
-        turns = [0, 1]
+    # FIRST: d2 keeps its rotation, compose(d1.R_BS, r21)
+    first = d2 if case is ExchangeCase.FIRST else _follow(d1, d2, inverse(r21))
     # the exchanged pair has the same bisector, so its half-turn is r21
     second = _follow(first, d1, r21)
+    turns = [turn_parity(d1.R_BS, second.R_BS), turn_parity(d2.R_BS, first.R_BS)]
     state = assemble_pair_canonical_orderfree(first, second, first.R_BS, second.R_BS)
     return state, order_dependence_phase(turns, [d1.s, d2.s])
 

@@ -191,6 +191,15 @@ ROWS = (
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, "a", 1.0))),
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, 0.0, None))),
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(1 + 0j, 0.0, 1.0))),
+    # numpy complex scalars, which math.isfinite would read as their real part
+    ("helicity_frame", "momentum", lambda: helicity_frame(Vec3(np.complex128(1), 0.0, 0.0), P_B)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(P_A, Vec3(0.0, np.complex64(1), 1.0))),
+    ("bisector_axis", "momentum", lambda: bisector_axis(Vec3(np.complex128(1), 0.0, 0.0), P_B)),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, Vec3(0.0, np.complex64(1), 1.0))),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, 0.0, np.complex128(1)), 1.0)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, 0.0, np.complex64(1)), 1.0)),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(np.complex128(1), 0.0, 1.0))),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, np.complex64(1), 1.0))),
 )
 # methods of objects that public callables return, checked like the callables
 METHODS = {"CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight"}

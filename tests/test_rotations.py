@@ -18,7 +18,7 @@ from spinframes import (
     half_turn,
     to_matrix3,
 )
-from spinframes.rotations import frame_to_quaternion, inverse, quaternion_close
+from spinframes.rotations import frame_to_quaternion, inverse, quaternion_close, turn_parity
 from util import rand_quaternion, rand_unit_vec
 
 ZHAT = Vec3(0.0, 0.0, 1.0)
@@ -46,9 +46,31 @@ def test_unit_quaternion_names_components_that_are_not_real():
         (1 + 0j, 0.0, 0.0, 0.0),
         (0.5, 0.5, 0.5, 0.5 + 0j),
         (0.5, 0.5, 0.5, None),
+        # numpy orders its complex scalars, so only the norm's type tells
+        (np.complex128(1), 0.0, 0.0, 0.0),
+        (np.complex64(1), 0.0, 0.0, 0.0),
+        (0.5, 0.5, 0.5, np.complex128(0.5)),
     ):
         with pytest.raises(TypeError, match=r"^quaternion components must be real numbers, got \("):
             UnitQuaternion(*comps)
+
+
+def test_turn_parity_counts_full_turns_and_rejects_other_rotations():
+    rng = random.Random(2502)
+    for _ in range(200):
+        q = rand_quaternion(rng)
+        axis = rand_unit_vec(rng)
+        assert turn_parity(q, q) == 0
+        assert turn_parity(q, -q) == 1
+        assert turn_parity(-q, q) == 1
+        # one and two full turns about any axis
+        assert turn_parity(q, compose(q, from_axis_angle(axis, 2.0 * math.pi))) == 1
+        assert turn_parity(q, compose(q, from_axis_angle(axis, 4.0 * math.pi))) == 0
+        # a different 3-D rotation on either sheet has no turn count
+        turned = compose(q, from_axis_angle(axis, 0.1))
+        for r in (turned, -turned):
+            with pytest.raises(ValueError, match="not a whole number of turns apart"):
+                turn_parity(q, r)
 
 
 def test_vec3_normalize_zero_rejected():

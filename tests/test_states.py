@@ -37,7 +37,7 @@ from spinframes import (
     pure_permute,
     rotate_sqf,
 )
-from spinframes.rotations import inverse, quaternion_close
+from spinframes.rotations import inverse, quaternion_close, turn_parity
 from spinframes import states
 from util import (
     figure_pair,
@@ -837,8 +837,7 @@ def test_every_pair_state_runs_its_constructor_once_in_canonical_order(monkeypat
 
 
 def test_follow_derives_what_the_public_constructor_builds():
-    # slot derivation copies a checked descriptor without its constructor;
-    # the result must be the descriptor the constructor would build
+    # slot derivation builds the descriptor the public constructor builds
     rng = random.Random(2301)
     signed = (0.0, -0.0)
     for i in range(300):
@@ -855,18 +854,18 @@ def test_follow_derives_what_the_public_constructor_builds():
         assert derived == built and hash(derived) == hash(built)
         assert derived.sort_key() == built.sort_key()
         assert derived.content_key() == built.content_key()
-        assert derived.content_key() is nxt.content_key()  # shared, not rebuilt
         assert str(derived) == str(built)
         assert repr(derived) == repr(built)
 
 
-def test_exchange_builds_no_descriptor_through_the_constructor(monkeypatch):
-    # the exchanged slots derive from checked descriptors: no field is
-    # checked a second time
+def test_every_derived_slot_runs_the_descriptor_constructor_once(monkeypatch):
+    # a derived slot is built like any descriptor, by its constructor with
+    # every field check: once per slot that a description or an exchange
+    # derives, and each of those slots is one the result holds
     p_a, p_b = figure_pair(0.6)
-    ordered = OrderedDescription(
-        [make_desc("a", p_a, 3, 1, base=FrameTag.HELICITY), make_desc("b", p_b, 2, 0)]
-    )
+    d1 = make_desc("a", p_a, 3, 1, base=FrameTag.HELICITY)
+    d2 = make_desc("b", p_b, 2, 0)
+    ordered = OrderedDescription([d1, d2])
     checked = []
     post_init = ParticleDescriptor.__post_init__
 
@@ -874,9 +873,70 @@ def test_exchange_builds_no_descriptor_through_the_constructor(monkeypatch):
         checked.append(self)
         post_init(self)
 
+    def held(case):
+        state = exchange_order_dependent(ordered, case)[0]
+        return (state.desc_a, state.desc_b)
+
     monkeypatch.setattr(ParticleDescriptor, "__post_init__", counted)
-    for case in ExchangeCase:
-        exchange_order_dependent(ordered, case)
-    assert checked == []
-    make_desc("c", p_a, 1, 1)  # the count is live
-    assert len(checked) == 1
+    derivations = {
+        "OrderedDescription": (lambda: OrderedDescription([d1, d2]).slots, 1),
+        "FIRST": (lambda: held(ExchangeCase.FIRST), 1),
+        "SECOND": (lambda: held(ExchangeCase.SECOND), 2),
+    }
+    for name, (derive, count) in derivations.items():
+        checked.clear()
+        kept = derive()
+        assert len(checked) == count, name
+        assert all(any(d is k for k in kept) for d in checked), name
+
+
+def test_a_broken_derivation_changes_the_measured_phase(monkeypatch):
+    # the phases are read off the derived rotations: with the half-turn
+    # replaced by the identity no particle collects a turn, and both cases
+    # report +1, which the exchanged states bear out
+    p_a, p_b = figure_pair(0.6)
+    d1 = make_desc("a", p_a, 1, 1, base=FrameTag.HELICITY)
+    d2 = make_desc("b", p_b, 2, 0)
+
+    def phases():
+        ordered = OrderedDescription([d1, d2])
+        original = assemble_ordered(ordered)
+        out = []
+        for case in ExchangeCase:
+            state, phase = exchange_order_dependent(ordered, case)
+            assert np.abs(state.to_matrix() - phase * original.to_matrix()).max() < 10 * EPS
+            out.append(phase)
+        return out
+
+    assert phases() == [-1, 1]
+    monkeypatch.setattr(states, "half_turn", lambda axis, sheet: IDENTITY)
+    assert phases() == [1, 1]
+
+
+def _parity_or_none(r_old, r_new):
+    try:
+        return turn_parity(r_old, r_new)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("seed", [7, 2501])
+def test_three_slots_swapping_adjacent_slots(seed):
+    # the chain convention on three slots, rebuilt with two adjacent slots
+    # swapped: each particle's rotation before and after, by turn_parity
+    # (None where they are different 3-D rotations). Swapping slots 0 and 1
+    # turns particle 0 once, keeps particle 1 and gives particle 2 a new
+    # frame; swapping slots 1 and 2 keeps particle 0 and gives both swapped
+    # particles new frames. No swap leaves a sign on every particle.
+    rng = random.Random(seed)
+    expected = {0: (1, 0, None), 1: (0, None, None)}
+    for _ in range(500):
+        slots = OrderedDescription(
+            [rand_descriptor(rng, q, rand_unit_vec(rng), max_twice_spin=12) for q in "abc"]
+        ).slots
+        for i, parities in expected.items():
+            order = [0, 1, 2]
+            order[i], order[i + 1] = order[i + 1], order[i]
+            swapped = OrderedDescription([slots[k] for k in order]).slots
+            after = {k: swapped[pos] for pos, k in enumerate(order)}
+            assert tuple(_parity_or_none(slots[k].R_BS, after[k].R_BS) for k in range(3)) == parities
