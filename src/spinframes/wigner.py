@@ -36,8 +36,9 @@ follow the Condon-Shortley convention: a rotation by alpha about z gives
 diag(exp(-i m alpha)) and a rotation about y gives the standard real reduced
 matrix.
 
-Clebsch-Gordan coefficients use the closed-form alternating sum over exact
-rational factorials, with a single square root at the end. The coupling of a
+Clebsch-Gordan coefficients use Racah's closed-form alternating sum in exact
+integers, its terms over one common denominator, with a single square root
+at the end. The coupling of a
 spin pair is built once per (2s1, 2s2), on first use, and cached: the channel
 keys (S, 2M) with S ascending and M descending, and the coefficients as a
 read-only dense real orthogonal matrix from the product basis (m1, m2
@@ -49,9 +50,8 @@ MAX_TWICE_SPIN bounds both spins, so the cache holds at most 169 tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import factorial, sqrt
+from math import lcm, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -172,38 +172,25 @@ def wigner_D(s: TwiceSpin, q: UnitQuaternion) -> WignerMatrix:
 
 def _racah(ts1: int, ts2: int, tS: int, tm1: int, tm2: int) -> float:
     """<s1 m1; s2 m2 | S M> with M = m1 + m2, from doubled labels that are
-    valid by construction: the alternating sum over exact rational
-    factorials, with a single square root at the end."""
+    valid by construction: Racah's alternating sum in exact integers over one
+    common denominator, then one int/int division, which rounds correctly as
+    the float of the exact rational does, and a single square root."""
+    f = factorial_exact
     tM = tm1 + tm2
-
-    def fh(t: int) -> int:
-        return factorial(t // 2)
-
-    pref = Fraction(tS + 1)
-    pref *= Fraction(
-        fh(tS + ts1 - ts2) * fh(tS - ts1 + ts2) * fh(ts1 + ts2 - tS),
-        fh(ts1 + ts2 + tS + 2),
-    )
-    pref *= fh(tS + tM) * fh(tS - tM)
-    pref *= fh(ts1 - tm1) * fh(ts1 + tm1) * fh(ts2 - tm2) * fh(ts2 + tm2)
-
-    k_lo = max(0, (ts2 - tS - tm1) // 2, (ts1 - tS + tm2) // 2)
-    k_hi = min((ts1 + ts2 - tS) // 2, (ts1 - tm1) // 2, (ts2 + tm2) // 2)
-    ksum = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            factorial(k)
-            * fh(ts1 + ts2 - tS - 2 * k)
-            * fh(ts1 - tm1 - 2 * k)
-            * fh(ts2 + tm2 - 2 * k)
-            * fh(tS - ts2 + tm1 + 2 * k)
-            * fh(tS - ts1 - tm2 + 2 * k)
-        )
-        ksum += Fraction(-1 if k % 2 else 1, den)
+    a, b, c = (ts1 + ts2 - tS) // 2, (ts1 - tm1) // 2, (ts2 + tm2) // 2
+    d, e = (tS - ts2 + tm1) // 2, (tS - ts1 - tm2) // 2
+    num = (tS + 1) * f(a) * f(b) * f(c) * f((tS + ts1 - ts2) // 2) * f((tS - ts1 + ts2) // 2)
+    num *= f((tS + tM) // 2) * f((tS - tM) // 2) * f((ts1 + tm1) // 2) * f((ts2 - tm2) // 2)
+    den = f((ts1 + ts2 + tS) // 2 + 1)
+    ks = range(max(0, -d, -e), min(a, b, c) + 1)
+    terms = [f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k) for k in ks]
+    common = lcm(*terms)
+    ksum = sum((-1) ** k * (common // t) for k, t in zip(ks, terms))
     if ksum == 0:
         return 0.0
-    sign = 1.0 if ksum > 0 else -1.0
-    return sign * sqrt(float(pref * ksum * ksum))
+    # the sign from the int itself: a large int need not convert to a float
+    mag = sqrt(num * ksum * ksum / (den * common * common))
+    return mag if ksum > 0 else -mag
 
 
 @cache

@@ -7,7 +7,8 @@ matrix from a per-entry loop over the Cayley-Klein monomials (no cached
 coefficients, no array evaluation) and, for bit-for-bit comparisons of
 whole matrices and of the columns pair assembly reads from them, from a
 whole-matrix plan kernel, Clebsch-Gordan
-coefficients from ladder-operator construction on the product space,
+coefficients from ladder-operator construction on the product space and,
+bit for bit, from Racah's sum in exact rational arithmetic,
 composite-basis amplitudes by summing coefficient times amplitude entry by
 entry (no change-of-basis matrix), rotation matrices from the Rodrigues
 formula, parity-constraint solutions by trying every assignment or by a
@@ -21,6 +22,7 @@ forms bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache
 from math import sqrt
 
@@ -197,6 +199,42 @@ def ladder_cg_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float
         for i, (a, b) in enumerate(basis):
             table[(a, b, tJ, tM)] = float(v[i])
     return table
+
+
+def racah_fraction(ts1: int, ts2: int, tS: int, tm1: int, tm2: int) -> float:
+    """<s1 m1; s2 m2 | S M> with M = m1 + m2, doubled labels assumed valid:
+    Racah's alternating sum as a sum of exact fractions, one term at a
+    time, with a single square root of the rounded square at the end."""
+    tM = tm1 + tm2
+
+    def fh(t: int) -> int:
+        return math.factorial(t // 2)
+
+    pref = Fraction(tS + 1)
+    pref *= Fraction(
+        fh(tS + ts1 - ts2) * fh(tS - ts1 + ts2) * fh(ts1 + ts2 - tS),
+        fh(ts1 + ts2 + tS + 2),
+    )
+    pref *= fh(tS + tM) * fh(tS - tM)
+    pref *= fh(ts1 - tm1) * fh(ts1 + tm1) * fh(ts2 - tm2) * fh(ts2 + tm2)
+
+    k_lo = max(0, (ts2 - tS - tm1) // 2, (ts1 - tS + tm2) // 2)
+    k_hi = min((ts1 + ts2 - tS) // 2, (ts1 - tm1) // 2, (ts2 + tm2) // 2)
+    ksum = Fraction(0)
+    for k in range(k_lo, k_hi + 1):
+        den = (
+            math.factorial(k)
+            * fh(ts1 + ts2 - tS - 2 * k)
+            * fh(ts1 - tm1 - 2 * k)
+            * fh(ts2 + tm2 - 2 * k)
+            * fh(tS - ts2 + tm1 + 2 * k)
+            * fh(tS - ts1 - tm2 + 2 * k)
+        )
+        ksum += Fraction(-1 if k % 2 else 1, den)
+    if ksum == 0:
+        return 0.0
+    sign = 1.0 if ksum > 0 else -1.0
+    return sign * sqrt(float(pref * ksum * ksum))
 
 
 def project_composite_loop(common: np.ndarray, tj_a: int, tj_b: int, coefficient):

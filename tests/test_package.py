@@ -90,3 +90,21 @@ print(*loaded(), sep=",")
         "True",
         "antisym_checker,composite,exactnum,frames,rotations,states,wigner",
     ]
+
+
+def test_dmatrix_and_exchange_reports_load_no_fractions_or_decimal():
+    # the coupling coefficients are integer sums; a module that a bare
+    # `import numpy` loads itself (as older numpy versions may) is exempt
+    script = """
+import contextlib, io, sys
+import numpy
+exempt = {m for m in ("fractions", "decimal") if m in sys.modules}
+from spinframes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["dmatrix", "--s2", "12", "--axis", "1,2,3", "--angle", "0.7"]) == 0
+    assert cli.main(["exchange", "--sa2", "12", "--sb2", "11", "--case", "first"]) == 0
+print(*sorted({"fractions", "decimal"} & set(sys.modules) - exempt), sep=",")
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "\n"

@@ -1,8 +1,8 @@
 """Spin-s rotation matrices and coupling coefficients against independent
 oracles: the angle-based reduced-matrix sum formula, a per-entry loop over
 the Cayley-Klein monomials, sympy's Wigner D and Clebsch-Gordan coefficients
-where sympy is installed, and a ladder-operator construction of the coupling
-table."""
+where sympy is installed, a ladder-operator construction of the coupling
+table, and Racah's sum in exact rational arithmetic."""
 
 import cmath
 import hashlib
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import cayley_klein_D, ladder_cg_table, little_d, plan_kernel_D
+from oracles import cayley_klein_D, ladder_cg_table, little_d, plan_kernel_D, racah_fraction
 from spinframes import (
     EPS,
     IDENTITY,
@@ -34,7 +34,7 @@ from spinframes import (
     total_spins,
     wigner_D,
 )
-from spinframes.wigner import _evaluate
+from spinframes.wigner import _evaluate, _racah
 from util import rand_quaternion, rand_unit_vec
 
 YHAT = Vec3(0.0, 1.0, 0.0)
@@ -404,6 +404,23 @@ def test_cg_tables_are_pinned_bit_for_bit():
     assert digest.hexdigest() == (
         "32f4e7fd015a7eff719c95ecb111e658ddcb8251bafc687248897f48146a70a2"
     )
+
+
+def test_integer_racah_sum_equals_the_exact_rational_one_bit_for_bit():
+    # every valid label with 2s1, 2s2 <= 12: the integer sum over one common
+    # denominator and the sum of exact fractions round to the same float
+    count = 0
+    for tj1 in range(MAX_TWICE_SPIN + 1):
+        for tj2 in range(MAX_TWICE_SPIN + 1):
+            s1, s2 = TwiceSpin(tj1), TwiceSpin(tj2)
+            for tS in total_spins(s1, s2):
+                for tm1 in m_range(s1):
+                    for tm2 in m_range(s2):
+                        if abs(tm1 + tm2) <= tS:
+                            got = _racah(tj1, tj2, tS, tm1, tm2)
+                            assert got.hex() == racah_fraction(tj1, tj2, tS, tm1, tm2).hex()
+                            count += 1
+    assert count == 45045
 
 
 def test_clebsch_gordan_reads_the_table():
