@@ -2,8 +2,10 @@
 
 Every subcommand is deterministic: fixed inputs give byte-identical output.
 Exit codes: 0 when the report ran and its claims hold, 1 if a claim fails
-(which a correct library never produces), 2 on input errors, and 141, as for
-SIGPIPE, when the reader closes the output before the report is written.
+(which a correct library never produces), 2 on input errors and when the
+report cannot be written (an --out that cannot be opened, a full disk or a
+failed device, for --out and stdout alike), and 141, as for SIGPIPE, when
+the reader closes the output before the report is written.
 
 Each handler imports the modules it uses when it runs, so a process loads
 only its own subcommand's layers; exactnum, which every report formats
@@ -173,6 +175,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the flush of its buffered rest is silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # a report bound for --out is rendered into memory and the file opened
@@ -182,23 +191,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.handler(args, out)
         if args.out:
-            try:
-                opened = open(args.out, "w")
-            except OSError as exc:
-                print(f"error: cannot write --out: {exc}", file=sys.stderr)
-                return 2
-            with opened:
+            with open(args.out, "w") as opened:
                 opened.write(out.getvalue())
         # flush here, so that a reader that closed early is caught below
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the buffered rest goes to devnull, so a later flush stays silent;
         # the exit code is the one shells report for SIGPIPE
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return 141
+    except OSError as exc:
+        # the report could not be written: bad output, not a failed claim
+        if not args.out:
+            _drop_stdout()
+        print(f"error: cannot write {'--out' if args.out else 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, TypeError) as exc:
         # a report that never loaded frames cannot have raised its error
         frames = sys.modules.get(f"{__package__}.frames")

@@ -19,7 +19,10 @@ turns measured on each particle's rotation (rotations.turn_parity).
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -152,6 +155,7 @@ class PairState:
 
     def __post_init__(self) -> None:
         _require_descriptors(self.desc_a, self.desc_b)
+        _require_instance(self.amplitudes, dict, "amplitudes must be a dict, got {type}")
         if self.desc_b.sort_key() < self.desc_a.sort_key():
             a, b = self.desc_b, self.desc_a
             object.__setattr__(self, "desc_a", a)
@@ -182,6 +186,7 @@ class PairState:
 
         Only defined for distinct content: on a merged basis a label cannot
         be attributed to either particle and the matrix would double-count.
+        A label outside the pair's basis raises ValueError.
         """
         _require_distinct_content(self.desc_a, self.desc_b)
         keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
@@ -192,16 +197,22 @@ class PairState:
         if tuple(amps) == keys:
             values = list(amps.values())
         else:
+            basis = set(keys)
+            foreign = [k for k in amps if k not in basis]
+            if foreign:
+                raise ValueError(f"amplitude label {foreign[0]!r} is not in the pair's basis")
             values = [amps.get(k, 0j) for k in keys]
         out = np.array(values, dtype=complex)
         return out.reshape(self.desc_a.s.dim, self.desc_b.s.dim)
 
     def allclose(self, other: PairState, tol: float = EPS) -> bool:
-        """Same descriptor pair and amplitudes equal within tol, key by key."""
-        if (
-            self.desc_a != other.desc_a
-            or self.desc_b != other.desc_b
-        ):
+        """Same descriptor pair and amplitudes equal within tol, key by key.
+        other must be a PairState and tol a finite real number >= 0."""
+        _require_instance(other, PairState, "other must be a PairState, got {type}")
+        _require_instance(tol, numbers.Real, "tol must be a real number, got {value!r}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if self.desc_a != other.desc_a or self.desc_b != other.desc_b:
             return False
         keys = set(self.amplitudes) | set(other.amplitudes)
         return all(
@@ -210,8 +221,10 @@ class PairState:
         )
 
     def scaled(self, c: complex) -> PairState:
-        """Every amplitude times c; a non-finite c raises ValueError."""
-        if not np.isfinite(c):
+        """Every amplitude times c, a complex number (TypeError otherwise,
+        a bool included); a non-finite c raises ValueError."""
+        _require_instance(c, numbers.Complex, "scale factor must be a complex number, got {value!r}")
+        if not cmath.isfinite(c):
             raise ValueError(f"scale factor {c!r} is not finite")
         return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spinframes import ExchangeCase, antisym_checker, cli, frames, states
 
 FULL_TURN = "6.283185307179586"
@@ -342,6 +344,37 @@ def test_unwritable_out_exit_2(tmp_path):
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason="no /dev/full here")
+def test_write_failures_exit_2_with_one_error_line():
+    # a report that cannot be written is bad output, not a failed claim (1):
+    # one error line and no traceback, for --out and for stdout, buffered or
+    # not, and for a report longer than the stdout buffer
+    for unbuffered in ("", "1"):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        for args in (
+            ("exclusion", "--s2", "3"),
+            ("dmatrix", "--s2", "12", "--axis", "0.1,0.9,-0.2", "--angle", "2.1"),
+        ):
+            r = subprocess.run(
+                [sys.executable, "-m", "spinframes", *args, "--out", FULL],
+                capture_output=True, text=True, env=env,
+            )
+            assert (r.returncode, r.stdout) == (2, ""), (unbuffered, args)
+            assert r.stderr.startswith("error: cannot write --out: "), r.stderr
+            assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n"), r.stderr
+            with open(FULL, "w") as full:
+                r = subprocess.run(
+                    [sys.executable, "-m", "spinframes", *args],
+                    stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                )
+            assert r.returncode == 2, (unbuffered, args, r.stderr)
+            assert r.stderr.startswith("error: cannot write stdout: "), r.stderr
+            assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n"), r.stderr
 
 
 def test_rejected_input_leaves_an_existing_out_file_unchanged(tmp_path, monkeypatch):

@@ -131,6 +131,16 @@ ROWS = (
     ("ParticleDescriptor", "R_BS", lambda: desc(r=QUAT)),
     ("PairState", "desc_a", lambda: PairState(desc_a=None, desc_b=desc(), amplitudes={})),
     ("PairState", "desc_b", lambda: PairState(desc_a=desc(), desc_b=1, amplitudes={})),
+    ("PairState", "amplitudes", lambda: PairState(desc_a=desc(), desc_b=desc("b"), amplitudes=[1, 2])),
+    ("PairState", "amplitudes", lambda: PairState(desc_a=desc(), desc_b=desc("b"), amplitudes=None)),
+    ("PairState.scaled", "scale factor", lambda: state().scaled("x")),
+    ("PairState.scaled", "scale factor", lambda: state().scaled(None)),
+    ("PairState.scaled", "scale factor", lambda: state().scaled(True)),
+    ("PairState.allclose", "other", lambda: state().allclose(3)),
+    ("PairState.allclose", "other", lambda: state().allclose(None)),
+    ("PairState.allclose", "tol", lambda: state().allclose(state(), "x")),
+    ("PairState.allclose", "tol", lambda: state().allclose(state(), 1j)),
+    ("PairState.allclose", "tol", lambda: state().allclose(state(), True)),
     ("OrderedDescription", "slot", lambda: OrderedDescription([desc(), "b"])),
     ("OrderedDescription", "slot", lambda: OrderedDescription([P_A])),
     ("rotate_sqf", "desc", lambda: rotate_sqf(HALF, IDENTITY)),
@@ -202,7 +212,10 @@ ROWS = (
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, np.complex64(1), 1.0))),
 )
 # methods of objects that public callables return, checked like the callables
-METHODS = {"CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight"}
+METHODS = {
+    "CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight",
+    "PairState.scaled", "PairState.allclose",
+}
 
 
 def _call_texts() -> list[str]:

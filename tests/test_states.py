@@ -34,6 +34,7 @@ from spinframes import (
     m_range,
     order_dependence_phase,
     pair_state_from_matrix,
+    project_composite,
     pure_permute,
     rotate_sqf,
 )
@@ -624,6 +625,54 @@ def test_scaled_rejects_a_non_finite_factor():
             state.scaled(bad)
     assert state.scaled(2).norm() == 2.0 * state.norm()
     assert state.scaled(1j).allclose(state.scaled(-1j).scaled(-1.0))
+
+
+def test_scaled_takes_a_complex_number_but_not_a_bool():
+    p_a, p_b = figure_pair(0.3)
+    state = assemble_pair_canonical_orderfree(
+        make_desc("u", p_a, 1, 1), make_desc("d", p_b, 2, 0), IDENTITY, IDENTITY
+    )
+    for bad in ("x", None, True, False, np.bool_(True), [2.0], (2.0,)):
+        with pytest.raises(TypeError, match="scale factor must be a complex number"):
+            state.scaled(bad)
+    want = state.scaled(2.0).dump()
+    for c in (2, 2 + 0j, np.float64(2.0), np.complex128(2.0), np.int64(2)):
+        assert state.scaled(c).dump() == want, repr(c)
+
+
+def test_allclose_takes_a_pair_state_and_a_finite_tolerance():
+    p_a, p_b = figure_pair(0.3)
+    state = assemble_pair_canonical_orderfree(
+        make_desc("u", p_a, 1, 1), make_desc("d", p_b, 2, 0), IDENTITY, IDENTITY
+    )
+    for other in (3, None, "x", state.desc_a, dict(state.amplitudes)):
+        with pytest.raises(TypeError, match="other must be a PairState"):
+            state.allclose(other)
+    for tol in ("x", None, True, 1j, np.complex128(0.0)):
+        with pytest.raises(TypeError, match="tol must be a real number"):
+            state.allclose(state, tol)
+    for tol in (math.nan, math.inf, -math.inf, -1e-300, -1):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            state.allclose(state, tol)
+    for tol in (0, 0.0, -0.0, 1, np.float64(1e-3), np.int64(0)):
+        assert state.allclose(state, tol)
+    assert not state.allclose(state.scaled(2.0), 0.5)
+
+
+def test_to_matrix_names_a_label_outside_the_basis():
+    # a distinct-content state holding a label its basis does not have
+    # raises, where the key-by-key read would drop the label unseen
+    p_a, p_b = figure_pair(0.8)
+    da, db = make_desc("a", p_a, 1, 1), make_desc("b", p_b, 2, 0)
+    state = pair_state_from_matrix(da, db, np.ones((2, 3)))
+    other = make_desc("c", p_b, 2, 0).content_key()
+    for foreign in ("k", ((other, 2), (other, 0)), ((da.content_key(), 3), (db.content_key(), 0))):
+        for amps in ({foreign: 1.0}, {**state.amplitudes, foreign: 1.0}):
+            broken = PairState(desc_a=da, desc_b=db, amplitudes=amps)
+            with pytest.raises(ValueError, match="amplitude label .* is not in the pair's basis"):
+                broken.to_matrix()
+            with pytest.raises(ValueError, match="not in the pair's basis"):
+                project_composite(broken, 1)
 
 
 def test_pair_state_from_matrix_requires_an_array():
