@@ -38,13 +38,13 @@ matrix.
 
 Clebsch-Gordan coefficients use Racah's closed-form alternating sum in exact
 integers, its terms over one common denominator, with a single square root
-at the end. The coupling of a
-spin pair is built once per (2s1, 2s2), on first use, and cached: the channel
-keys (S, 2M) with S ascending and M descending, and the coefficients as a
-read-only dense real orthogonal matrix from the product basis (m1, m2
-descending, m2 fastest) to those channels. A coupled state is then one matrix
-product. clebsch_gordan and CGTable.coefficient both read that table.
-MAX_TWICE_SPIN bounds both spins, so the cache holds at most 169 tables.
+at the end. The coupling of a spin pair is built once per (2s1, 2s2), on
+first use, and cached: the channel keys (S, 2M) with S ascending and M
+descending, and the coefficients as a read-only dense real orthogonal matrix
+from the product basis (m1, m2 descending, m2 fastest) to those channels. A
+coupled state is then one matrix product. clebsch_gordan and
+CGTable.coefficient both read that table. MAX_TWICE_SPIN bounds both spins,
+so the cache holds at most 169 tables.
 """
 
 from __future__ import annotations

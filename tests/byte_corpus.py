@@ -135,6 +135,8 @@ def cli_argvs() -> list[list[str]]:
             "--pb=-0.2530211128203417,-0.3022294356384742,-0.9190417423666852",
         ],
         ["frames", "--pa", "1,0,0", "--pb", "1,1e-300,0"],
+        # without the --flag=value form argparse reads a leading minus as a
+        # flag: a usage error, not the nearly antiparallel pair it spells
         ["frames", "--pa", "1,0,0", "--pb", "-1,1e-17,0"],
         # --out: written in full, or a directory that cannot be opened
         ["exclusion", "--s2", "3", "--out", OUT_NAME],
@@ -279,7 +281,6 @@ def load() -> dict[str, dict[str, str]]:
 
 def main(argv: list[str]) -> int:
     if argv != ["--write"]:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: PYTHONPATH=src python tests/byte_corpus.py --write", file=sys.stderr)
         return 2
     here = Path.cwd()
