@@ -83,10 +83,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     state_second, phase_second = exchange_order_dependent(ordered, ExchangeCase.SECOND)
     # FIRST turns slot 1's particle, SECOND slot 2's: they differ by (-1)^(2s_a + 2s_b)
     discrepancy = phase_first * phase_second
-    residual = max(
-        abs(state_second.amplitudes.get(k, 0j) - discrepancy * v)
-        for k, v in state_first.amplitudes.items()
-    )
+    residual = abs(state_second.to_matrix() - discrepancy * state_first.to_matrix()).max()
     if residual > 10 * EPS:
         out.write("case discrepancy check failed\n")
         return 1

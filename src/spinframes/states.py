@@ -178,8 +178,25 @@ class PairState:
         )
         return self.amplitudes.get(key, 0j)
 
+    def _basis_amplitudes(self) -> tuple[tuple[_JointKey, ...], list[complex]]:
+        """Every label of the pair's basis, descending, and its amplitude (0j
+        if none is stored); ValueError for a stored label outside the basis."""
+        labels = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
+        amps = self.amplitudes
+        # distinct content (row-major is descending) as built here: stored in
+        # this order under these key objects, so identity checks read it all
+        if tuple(amps) == labels:
+            return labels, list(amps.values())
+        if self.merged_content():
+            labels = tuple(sorted(set(labels), reverse=True))
+        basis = set(labels)
+        foreign = [k for k in amps if k not in basis]
+        if foreign:
+            raise ValueError(f"amplitude label {foreign[0]!r} is not in the pair's basis")
+        return labels, [amps.get(k, 0j) for k in labels]
+
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values())))
+        return math.sqrt(sum(abs(v) ** 2 for v in self._basis_amplitudes()[1]))
 
     def to_matrix(self) -> np.ndarray:
         """Amplitudes as a (2s_a+1) x (2s_b+1) matrix, rows lam_a descending.
@@ -189,36 +206,20 @@ class PairState:
         A label outside the pair's basis raises ValueError.
         """
         _require_distinct_content(self.desc_a, self.desc_b)
-        keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
-        amps = self.amplitudes
-        # the states built here list their amplitudes in basis order, under
-        # the basis's own key objects, so one pass of identity checks
-        # replaces a hashed lookup per key
-        if tuple(amps) == keys:
-            values = list(amps.values())
-        else:
-            basis = set(keys)
-            foreign = [k for k in amps if k not in basis]
-            if foreign:
-                raise ValueError(f"amplitude label {foreign[0]!r} is not in the pair's basis")
-            values = [amps.get(k, 0j) for k in keys]
-        out = np.array(values, dtype=complex)
+        out = np.array(self._basis_amplitudes()[1], dtype=complex)
         return out.reshape(self.desc_a.s.dim, self.desc_b.s.dim)
 
     def allclose(self, other: PairState, tol: float = EPS) -> bool:
-        """Same descriptor pair and amplitudes equal within tol, key by key.
-        other must be a PairState and tol a finite real number >= 0."""
+        """Same descriptor pair and amplitudes equal within tol, label by
+        label. other must be a PairState and tol a finite real number >= 0."""
         _require_instance(other, PairState, "other must be a PairState, got {type}")
         _require_instance(tol, numbers.Real, "tol must be a real number, got {value!r}")
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
         if self.desc_a != other.desc_a or self.desc_b != other.desc_b:
             return False
-        keys = set(self.amplitudes) | set(other.amplitudes)
-        return all(
-            abs(self.amplitudes.get(k, 0j) - other.amplitudes.get(k, 0j)) <= tol
-            for k in keys
-        )
+        pairs = zip(self._basis_amplitudes()[1], other._basis_amplitudes()[1])
+        return all(abs(x - y) <= tol for x, y in pairs)
 
     def scaled(self, c: complex) -> PairState:
         """Every amplitude times c, a complex number (TypeError otherwise,
@@ -229,18 +230,14 @@ class PairState:
         return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 
     def dump(self) -> str:
-        """Serialize: header with both descriptors, then one line per joint
-        label as `(lambda_a_twice, lambda_b_twice) re im`, 15 significant
-        digits, labels descending. Distinct content lists every basis label
-        (desc_a's first, as it sorts first), merged content the stored ones."""
+        """Serialize: header with both descriptors, then one line per label
+        of the pair's basis as `(lambda_a_twice, lambda_b_twice) re im`, 15
+        significant digits, labels descending, 0 0 where no amplitude is
+        stored. For distinct content desc_a's helicity comes first, as it
+        sorts first."""
         lines = [f"pair: {self.desc_a} ; {self.desc_b}"]
-        if self.merged_content():
-            keys = sorted(self.amplitudes, reverse=True)
-        else:
-            keys = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
-        for key in keys:
-            (_, l1), (_, l2) = key
-            lines.append(f"({l1}, {l2}) {fmt15_complex(self.amplitudes.get(key, 0j))}")
+        for ((_, l1), (_, l2)), v in zip(*self._basis_amplitudes()):
+            lines.append(f"({l1}, {l2}) {fmt15_complex(v)}")
         return "\n".join(lines) + "\n"
 
 
@@ -316,6 +313,8 @@ def assemble_pair_canonical_orderfree(
     """
     _require_descriptors(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
+    if desc_b.sort_key() < desc_a.sort_key():  # canonical order stores the basis order
+        desc_a, desc_b, R_a, R_b = desc_b, desc_a, R_b, R_a
     col_a = rotate_sqf(desc_a, R_a).tolist()
     col_b = rotate_sqf(desc_b, R_b).tolist()
     products = [x * y for x in col_a for y in col_b]
@@ -366,6 +365,8 @@ def pair_state_from_matrix(
     _require_amplitude_matrix(matrix, "matrix", (desc_a.s.dim, desc_b.s.dim))
     _require_distinct_content(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
+    if desc_b.sort_key() < desc_a.sort_key():  # canonical order stores the basis order
+        return pair_state_from_matrix(desc_b, desc_a, matrix.T)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
     return PairState(desc_a, desc_b, amps)

@@ -440,6 +440,8 @@ def test_assembly_bit_equal_to_per_entry_products():
         ra, rb = rand_quaternion(rng), rand_quaternion(rng)
         state = assemble_pair_canonical_orderfree(da, db, ra, rb)
         assert state.merged_content() == merged
+        if state.desc_a is not da:  # stored in canonical order, amplitudes too
+            da, db, ra, rb = db, da, rb, ra
         want = per_entry_amplitudes(da, db, rotate_sqf(da, ra), rotate_sqf(db, rb))
         assert list(state.amplitudes) == list(want)
         for key, v in want.items():
@@ -474,8 +476,10 @@ def test_assembly_bit_equal_to_the_plan_kernel():
         )
         col_a = plan_kernel_D(ts_a, *ra.components())[:, da.s.index(da.m)]
         col_b = plan_kernel_D(ts_b, *rb.components())[:, db.s.index(db.m)]
-        want = per_entry_amplitudes(da, db, col_a, col_b)
         state = assemble_pair_canonical_orderfree(da, db, ra, rb)
+        if state.desc_a is not da:  # stored in canonical order, amplitudes too
+            da, db, ra, rb, col_a, col_b = db, da, rb, ra, col_b, col_a
+        want = per_entry_amplitudes(da, db, col_a, col_b)
         assert list(state.amplitudes) == list(want)
         got = np.array(list(state.amplitudes.values()), dtype=complex)
         assert got.tobytes() == np.array(list(want.values()), dtype=complex).tobytes()
@@ -673,6 +677,87 @@ def test_to_matrix_names_a_label_outside_the_basis():
                 broken.to_matrix()
             with pytest.raises(ValueError, match="not in the pair's basis"):
                 project_composite(broken, 1)
+
+
+def test_every_reader_names_a_label_outside_the_basis():
+    # dump, norm, allclose and to_matrix read the basis through one checked
+    # walk, for distinct and merged content alike
+    p_a, p_b = figure_pair(0.8)
+    da, db = make_desc("a", p_a, 1, 1), make_desc("b", p_b, 2, 0)
+    distinct = pair_state_from_matrix(da, db, np.ones((2, 3)))
+    merged = assemble_pair_canonical_orderfree(da, make_desc("a", p_a, 1, -1), IDENTITY, IDENTITY)
+    other = make_desc("c", p_b, 2, 0).content_key()
+    for state in (distinct, merged):
+        ka, kb = state.desc_a.content_key(), state.desc_b.content_key()
+        for foreign in ("k", ((other, 2), (other, 0)), ((ka, 3), (kb, 1))):
+            for amps in ({foreign: 1.0}, {**state.amplitudes, foreign: 1.0}):
+                broken = PairState(desc_a=state.desc_a, desc_b=state.desc_b, amplitudes=amps)
+                readers = [broken.dump, broken.norm, lambda: broken.allclose(broken),
+                           lambda: state.allclose(broken), lambda: broken.allclose(state)]
+                if state is distinct:
+                    readers.append(broken.to_matrix)
+                for read in readers:
+                    with pytest.raises(ValueError, match="amplitude label .* is not in the pair's basis"):
+                        read()
+    with pytest.raises(ValueError, match="merged basis"):
+        merged.to_matrix()
+
+
+def test_dump_lists_absent_merged_labels_as_zero():
+    # the distinct rule (test_dump_lists_absent_distinct_labels_as_zero)
+    # holds on a merged basis too: every unordered label, descending
+    p_a, _ = figure_pair(0.4)
+    for ts in (1, 2, 3):
+        da, db = make_desc("u", p_a, ts, ts), make_desc("u", p_a, ts, -ts)
+        full = assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY)
+        assert full.merged_content()
+        assert len(full.amplitudes) == (ts + 1) * (ts + 2) // 2
+        sparse = PairState(
+            desc_a=full.desc_a,
+            desc_b=full.desc_b,
+            amplitudes={k: v for k, v in full.amplitudes.items() if v != 0},
+        )
+        assert len(sparse.amplitudes) == 1
+        assert sparse.dump() == full.dump()
+        labels = [line.split(")")[0] + ")" for line in full.dump().splitlines()[1:]]
+        # (lower, upper) helicity, descending: the lower first, then the upper
+        assert labels == [
+            f"({lo}, {hi})" for lo in range(ts, -ts - 1, -2) for hi in range(ts, lo - 1, -2)
+        ]
+        assert sparse.norm() == full.norm() == 1.0
+        assert sparse.allclose(full) and full.allclose(sparse)
+
+
+def test_every_distinct_state_built_here_is_stored_in_basis_order():
+    # the premise of the basis read's fast path: each builder stores the
+    # amplitudes in the basis's order, under the basis's own key objects,
+    # whichever argument order it was given
+    rng = random.Random(62)
+    for trial in range(40):
+        p_a, p_b = rand_noncollinear_pair(rng)
+        q_1, q_2 = rng.sample("ab", 2)
+        d1 = rand_descriptor(rng, q_1, p_a)
+        d2 = rand_descriptor(rng, q_2, p_b)
+        ra, rb = rand_quaternion(rng), rand_quaternion(rng)
+        mat = rand_matrix_like(rng, d1.s.dim, d2.s.dim)
+        ordered = OrderedDescription([d1, d2])
+        built = {
+            "assembly": assemble_pair_canonical_orderfree(d1, d2, ra, rb),
+            "assembly, swapped": assemble_pair_canonical_orderfree(d2, d1, rb, ra),
+            "matrix": pair_state_from_matrix(d1, d2, mat),
+            "matrix, swapped": pair_state_from_matrix(d2, d1, mat.T),
+            "ordered": assemble_ordered(ordered),
+            "FIRST": exchange_order_dependent(ordered, ExchangeCase.FIRST)[0],
+            "SECOND": exchange_order_dependent(ordered, ExchangeCase.SECOND)[0],
+        }
+        for name, state in list(built.items()):
+            built[name + ", permuted"] = pure_permute(state)
+            built[name + ", scaled"] = state.scaled(1j)
+        for name, state in built.items():
+            keys = states._joint_keys(state.desc_a.content_key(), state.desc_b.content_key())
+            assert len(state.amplitudes) == len(keys), (trial, name)
+            assert all(k is b for k, b in zip(state.amplitudes, keys)), (trial, name)
+        assert built["matrix, swapped"].to_matrix().tobytes() == built["matrix"].to_matrix().tobytes()
 
 
 def test_pair_state_from_matrix_requires_an_array():
