@@ -22,6 +22,7 @@ other quantum numbers equal to even composite spin (exclusion_check).
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -44,6 +45,16 @@ def _require_instance(value: object, kind: type | tuple[type, ...], what: str) -
     kind and not a bool, its message what formatted with {value} and {type}."""
     if not isinstance(value, kind) or value is True or value is False:
         raise TypeError(what.format(value=value, type=type(value).__name__))
+
+
+def _finite(*values: complex) -> bool:
+    """The package's one finiteness test: True when every value is a finite
+    number. An int too large for a float is not finite, so its caller names
+    it as it names inf, where cmath.isfinite alone raises OverflowError."""
+    try:
+        return all(map(cmath.isfinite, values))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, order=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, _require_instance
+from .exactnum import EPS, _finite, _require_instance
 
 # Geometry comparisons (frame orthonormality, matrix residuals) run at a
 # looser tolerance than the algebraic EPS.
@@ -101,7 +101,8 @@ class UnitQuaternion:
 
     def __post_init__(self) -> None:
         # a positive test, so that NaN components are rejected too; a norm
-        # that is not real fails, numpy's complex ones (which it orders) too
+        # that is not real fails, numpy's complex ones (which it orders) too;
+        # an int too large for a float has the norm^2 of inf
         try:
             n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
             if not (type(n2) is float or isinstance(n2, numbers.Real)):
@@ -111,6 +112,8 @@ class UnitQuaternion:
             raise TypeError(
                 f"quaternion components must be real numbers, got {self.components()!r}"
             ) from None
+        except OverflowError:
+            n2, unit = math.inf, False
         if not unit:
             raise ValueError(f"quaternion norm^2 = {n2!r} is not 1 within {EPS}")
 
@@ -138,11 +141,11 @@ def _require_finite(v: Vec3, what: str) -> None:
     unless finite."""
     _require_instance(v, Vec3, what + " must be a Vec3, got {value!r}")
     x, y, z = v.x, v.y, v.z
-    # a float triple passes the first test; a numpy complex fails the second,
-    # where math.isfinite would warn and read its real part
+    # a float triple passes the first test; a complex component, numpy's
+    # included, fails the second
     if not (type(x) is type(y) is type(z) is float or all(isinstance(c, numbers.Real) for c in (x, y, z))):
         raise TypeError(f"{what} must be a Vec3 of real numbers, got {v!r}")
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+    if not _finite(x, y, z):
         raise ValueError(f"{what} {x!r},{y!r},{z!r} is not finite")
 
 
@@ -157,7 +160,7 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     """
     _require_finite(axis, "rotation axis")
     _require_instance(angle, numbers.Real, "rotation angle must be a real number, got {value!r}")
-    if not math.isfinite(angle):
+    if not _finite(angle):
         raise ValueError(f"rotation angle {angle!r} is not finite")
     x, y, z = _pow2_scaled(axis.components())
     n = _norm3((x, y, z))

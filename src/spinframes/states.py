@@ -19,7 +19,6 @@ turns measured on each particle's rotation (rotations.turn_parity).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numbers
@@ -29,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, fmt15_join
-from .exactnum import m_range, order_dependence_phase
+from .exactnum import _finite, m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse, turn_parity
 from .wigner import _evaluate
@@ -214,7 +213,7 @@ class PairState:
         label. other must be a PairState and tol a finite real number >= 0."""
         _require_instance(other, PairState, "other must be a PairState, got {type}")
         _require_instance(tol, numbers.Real, "tol must be a real number, got {value!r}")
-        if not (math.isfinite(tol) and tol >= 0):
+        if not (_finite(tol) and tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
         if self.desc_a != other.desc_a or self.desc_b != other.desc_b:
             return False
@@ -225,7 +224,7 @@ class PairState:
         """Every amplitude times c, a complex number (TypeError otherwise,
         a bool included); a non-finite c raises ValueError."""
         _require_instance(c, numbers.Complex, "scale factor must be a complex number, got {value!r}")
-        if not cmath.isfinite(c):
+        if not _finite(c):
             raise ValueError(f"scale factor {c!r} is not finite")
         return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 

@@ -1,6 +1,7 @@
 """The package's one input rule, pinned over its whole public surface: a
 wrong-typed argument to any public callable is a TypeError whose message
-starts with the argument's name."""
+starts with the argument's name, and a number too large for a float is a
+ValueError that names it the same way."""
 
 import ast
 import math
@@ -19,6 +20,7 @@ from spinframes import (
     PairState,
     ParticleDescriptor,
     TwiceSpin,
+    UnitQuaternion,
     Vec3,
     assemble_ordered,
     assemble_pair_canonical_orderfree,
@@ -211,6 +213,25 @@ ROWS = (
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(np.complex128(1), 0.0, 1.0))),
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, np.complex64(1), 1.0))),
 )
+# numbers too large for a float, which cmath.isfinite meets with an
+# OverflowError: named as the same argument's inf is, where it enters
+HUGE = 10**400
+VALUE_ROWS = (
+    ("from_axis_angle", "rotation angle", lambda: from_axis_angle(ZHAT, HUGE)),
+    ("from_axis_angle", "rotation angle", lambda: from_axis_angle(ZHAT, -HUGE)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, 0.0, HUGE), 1.0)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(HUGE, 0, 0), 1.0)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(Vec3(HUGE, 0.0, 0.0), P_B)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(P_A, Vec3(0.0, -HUGE, 1.0))),
+    ("bisector_axis", "momentum", lambda: bisector_axis(Vec3(0.0, 0.0, HUGE), P_B)),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, Vec3(HUGE, 0.0, 1.0))),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, HUGE, 1.0))),
+    ("UnitQuaternion", "quaternion norm^2", lambda: UnitQuaternion(HUGE, 0.0, 0.0, 0.0)),
+    ("UnitQuaternion", "quaternion norm^2", lambda: UnitQuaternion(0, 0, 0, -HUGE)),
+    ("PairState.scaled", "scale factor", lambda: state().scaled(HUGE)),
+    ("PairState.scaled", "scale factor", lambda: state().scaled(-HUGE)),
+    ("PairState.allclose", "tol", lambda: state().allclose(state(), HUGE)),
+)
 # methods of objects that public callables return, checked like the callables
 METHODS = {
     "CGTable.coefficient", "CompositeProjection.amplitude", "CompositeProjection.weight",
@@ -218,7 +239,7 @@ METHODS = {
 }
 
 
-def _call_texts() -> list[str]:
+def _call_texts(table: str) -> list[str]:
     """Each row's call as written in this file, in row order, whitespace
     collapsed: so a row's test id follows from its content, wherever the
     row stands."""
@@ -226,12 +247,17 @@ def _call_texts() -> list[str]:
     rows = next(
         node.value
         for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROWS"
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == table
     )
     return [" ".join(ast.get_source_segment(source, row.elts[2].body).split()) for row in rows.elts]
 
 
-IDS = [f"{name}-{what}-{text}" for (name, what, _), text in zip(ROWS, _call_texts(), strict=True)]
+def _ids(table: str, rows: tuple) -> list[str]:
+    return [f"{name}-{what}-{text}" for (name, what, _), text in zip(rows, _call_texts(table), strict=True)]
+
+
+IDS = _ids("ROWS", ROWS)
+VALUE_IDS = _ids("VALUE_ROWS", VALUE_ROWS)
 
 
 @pytest.mark.parametrize("name, what, call", ROWS, ids=IDS)
@@ -241,8 +267,16 @@ def test_wrong_type_is_a_type_error_naming_the_argument(name, what, call):
     assert str(got.value).startswith(f"{what} must be "), str(got.value)
 
 
+@pytest.mark.parametrize("name, what, call", VALUE_ROWS, ids=VALUE_IDS)
+def test_number_too_large_for_a_float_is_a_value_error_naming_the_argument(name, what, call):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value).startswith(f"{what} "), str(got.value)
+
+
 def test_sweep_ids_are_unique():
     assert len(IDS) == len(ROWS) and len(set(IDS)) == len(IDS)
+    assert len(VALUE_IDS) == len(VALUE_ROWS) and len(set(VALUE_IDS)) == len(VALUE_IDS)
 
 
 def test_every_public_callable_has_a_row_or_an_exemption():
