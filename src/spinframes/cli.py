@@ -27,13 +27,19 @@ if TYPE_CHECKING:
     from .rotations import Vec3
 
 
-def _parse_vec(text: str) -> Vec3:
+def _parse_vec(text: str, flag: str) -> Vec3:
     from .rotations import Vec3
 
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
-    return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
+        raise ValueError(f"{flag} must have three comma-separated components, got {text!r}")
+    values = []
+    for name, part in zip("xyz", parts):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{flag} component {name} must be a number, got {part!r}") from None
+    return Vec3(*values)
 
 
 def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
@@ -41,7 +47,7 @@ def cmd_dmatrix(args: argparse.Namespace, out: TextIO) -> int:
     from .wigner import wigner_D
 
     s = TwiceSpin(args.s2)
-    axis = _parse_vec(args.axis)
+    axis = _parse_vec(args.axis, "--axis")
     q = from_axis_angle(axis, args.angle)
     mat = wigner_D(s, q)
     axis_text = fmt15_join(axis.components())
@@ -83,8 +89,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     state_second, phase_second = exchange_order_dependent(ordered, ExchangeCase.SECOND)
     # FIRST turns slot 1's particle, SECOND slot 2's: they differ by (-1)^(2s_a + 2s_b)
     discrepancy = phase_first * phase_second
-    residual = abs(state_second.to_matrix() - discrepancy * state_first.to_matrix()).max()
-    if residual > 10 * EPS:
+    if abs(state_second.to_matrix() - discrepancy * state_first.to_matrix()).max() > 10 * EPS:
         out.write("case discrepancy check failed\n")
         return 1
     phase = phase_first if args.case == "first" else phase_second
@@ -110,8 +115,8 @@ def cmd_impossibility(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
     from .frames import _frame_residual, bisector_axis, helicity_frame, relative_rotation
 
-    p_a = _parse_vec(args.pa)
-    p_b = _parse_vec(args.pb)
+    p_a = _parse_vec(args.pa, "--pa")
+    p_b = _parse_vec(args.pb, "--pb")
     frame_a = helicity_frame(p_a, p_b, tag="a")
     frame_b = helicity_frame(p_b, p_a, tag="b")
     k = bisector_axis(p_a, p_b)
@@ -128,9 +133,7 @@ def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
         out.write(
             f"sheet={sheet:+d}: q={fmt15_join(q.components())} residual={fmt15(residual)}\n"
         )
-    negated = all(
-        a == -b for a, b in zip(sheets[1].components(), sheets[-1].components())
-    )
+    negated = all(a == -b for a, b in zip(sheets[1].components(), sheets[-1].components()))
     out.write(f"opposite_sheets_negate: {'true' if negated else 'false'}\n")
     return 0 if negated else 1
 

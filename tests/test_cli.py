@@ -319,6 +319,19 @@ def test_input_errors_exit_2():
         assert r.stderr.startswith("error: ")
 
 
+def test_vector_errors_name_the_flag_and_the_component(capsys):
+    three = "must have three comma-separated components, got"
+    for argv, want in (
+        (("frames", "--pa", "1,0,1", "--pb", "a,0,1"), "--pb component x must be a number, got 'a'"),
+        (("frames", "--pa", "1,,1", "--pb=-1,0,1"), "--pa component y must be a number, got ''"),
+        (("frames", "--pa", "1,0,1", "--pb", "1,0"), f"--pb {three} '1,0'"),
+        (("dmatrix", "--s2", "1", "--axis", "0,0,z", "--angle", "1"), "--axis component z must be a number, got 'z'"),
+        (("dmatrix", "--s2", "1", "--axis", "0,0,1,0", "--angle", "1"), f"--axis {three} '0,0,1,0'"),
+    ):
+        assert cli.main(list(argv)) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 def test_argparse_rejections_exit_2():
     r = run_cli("exchange", "--sa2", "1", "--sb2", "1", "--case", "sideways")
     assert r.returncode == 2
