@@ -133,7 +133,9 @@ def cmd_frames(args: argparse.Namespace, out: TextIO) -> int:
         out.write(
             f"sheet={sheet:+d}: q={fmt15_join(q.components())} residual={fmt15(residual)}\n"
         )
-    negated = all(a == -b for a, b in zip(sheets[1].components(), sheets[-1].components()))
+    negated = all(
+        a == -b for a, b in zip(sheets[1].components(), sheets[-1].components())
+    )
     out.write(f"opposite_sheets_negate: {'true' if negated else 'false'}\n")
     return 0 if negated else 1
 

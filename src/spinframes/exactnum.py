@@ -31,8 +31,10 @@ from dataclasses import dataclass
 # sums and quaternion algebra.
 EPS = 1e-12
 
-# Hard cap for factorial_exact arguments; keeps all factorial products well
-# inside exact float-convertible territory for the spin range we support.
+# Hard cap for factorial_exact arguments. Factorials and their products are
+# exact ints, so the cap bounds no rounding: it guards against a huge
+# factorial from a label past the spin bound. The largest argument taken is
+# 25, the Racah sum's (s1 + s2 + S + 1)! at 2s1 = 2s2 = MAX_TWICE_SPIN.
 N_FACT = 40
 
 # Largest 2s the package evaluates; the factorial budget and the intended

@@ -182,16 +182,15 @@ class PairState:
         if none is stored); ValueError for a stored label outside the basis."""
         labels = _joint_keys(self.desc_a.content_key(), self.desc_b.content_key())
         amps = self.amplitudes
-        # distinct content (row-major is descending) as built here: stored in
-        # this order under these key objects, so identity checks read it all
+        # distinct content lists its basis row-major, which is descending, and
+        # the states built here store it in that order under these key objects
         if tuple(amps) == labels:
             return labels, list(amps.values())
-        if self.merged_content():
-            labels = tuple(sorted(set(labels), reverse=True))
         basis = set(labels)
         foreign = [k for k in amps if k not in basis]
         if foreign:
             raise ValueError(f"amplitude label {foreign[0]!r} is not in the pair's basis")
+        labels = tuple(sorted(basis, reverse=True))
         return labels, [amps.get(k, 0j) for k in labels]
 
     def norm(self) -> float:
@@ -231,9 +230,8 @@ class PairState:
     def dump(self) -> str:
         """Serialize: header with both descriptors, then one line per label
         of the pair's basis as `(lambda_a_twice, lambda_b_twice) re im`, 15
-        significant digits, labels descending, 0 0 where no amplitude is
-        stored. For distinct content desc_a's helicity comes first, as it
-        sorts first."""
+        significant digits, labels descending, 0 0 where none is stored, for
+        merged content too (distinct: desc_a's first, as it sorts first)."""
         lines = [f"pair: {self.desc_a} ; {self.desc_b}"]
         for ((_, l1), (_, l2)), v in zip(*self._basis_amplitudes()):
             lines.append(f"({l1}, {l2}) {fmt15_complex(v)}")
@@ -312,7 +310,7 @@ def assemble_pair_canonical_orderfree(
     """
     _require_descriptors(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
-    if desc_b.sort_key() < desc_a.sort_key():  # canonical order stores the basis order
+    if desc_b.sort_key() < desc_a.sort_key():  # canonical order: amplitudes in basis order
         desc_a, desc_b, R_a, R_b = desc_b, desc_a, R_b, R_a
     col_a = rotate_sqf(desc_a, R_a).tolist()
     col_b = rotate_sqf(desc_b, R_b).tolist()
@@ -364,7 +362,7 @@ def pair_state_from_matrix(
     _require_amplitude_matrix(matrix, "matrix", (desc_a.s.dim, desc_b.s.dim))
     _require_distinct_content(desc_a, desc_b)
     _require_noncollinear(desc_a, desc_b)
-    if desc_b.sort_key() < desc_a.sort_key():  # canonical order stores the basis order
+    if desc_b.sort_key() < desc_a.sort_key():  # canonical order: amplitudes in basis order
         return pair_state_from_matrix(desc_b, desc_a, matrix.T)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()
     amps = dict(zip(_joint_keys(desc_a.content_key(), desc_b.content_key()), values))
