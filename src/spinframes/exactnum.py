@@ -22,7 +22,6 @@ other quantum numbers equal to even composite spin (exclusion_check).
 
 from __future__ import annotations
 
-import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -49,12 +48,12 @@ def _require_instance(value: object, kind: type | tuple[type, ...], what: str) -
         raise TypeError(what.format(value=value, type=type(value).__name__))
 
 
-def _finite(*values: complex) -> bool:
+def _finite(*values: float) -> bool:
     """The package's one finiteness test: True when every value is a finite
-    number. An int too large for a float is not finite, so its caller names
-    it as it names inf, where cmath.isfinite alone raises OverflowError."""
+    real number. An int too large for a float is not finite, so its caller
+    names it as it names inf, where math.isfinite raises OverflowError."""
     try:
-        return all(map(cmath.isfinite, values))
+        return all(map(math.isfinite, values))
     except OverflowError:
         return False
 

@@ -223,7 +223,7 @@ class PairState:
         """Every amplitude times c, a complex number (TypeError otherwise,
         a bool included); a non-finite c raises ValueError."""
         _require_instance(c, numbers.Complex, "scale factor must be a complex number, got {value!r}")
-        if not _finite(c):
+        if not _finite(c.real, c.imag):
             raise ValueError(f"scale factor {c!r} is not finite")
         return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 
