@@ -24,9 +24,14 @@ The bits of every entry are fixed by the arithmetic's order, not only by its
 values. numpy's complex multiply can round differently from Python's scalar
 one, and from itself with the operands swapped, so each term stays coef *
 a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied as numpy arrays in that
-operand order; each entry sums its own terms in plan order; and the powers
-stay Python repeated products. A pure-Python or reordered kernel would not
-give the same bits.
+operand order, and each entry sums its own terms in plan order. The powers
+are repeated products from one numpy accumulate over the table, seeded with
+1 and then the factor in each row. The accumulate reads and writes one
+array, so numpy cannot vectorize it and steps through its scalar complex
+loop: two products and one sum or difference per part, as Python's complex
+multiply rounds them, so each power has the bits of the Python product
+1 * x * x * ... * x. A pure-Python or reordered kernel would not give the
+same bits.
 
 The double-cover sign stays structural: negating q negates each factor
 exactly, a power built by repeated products picks up exactly (-1)^k, and each
@@ -90,6 +95,10 @@ class _Plan(NamedTuple):
     # exponents of a, conj(a), b and -conj(b), one row each, offset into the
     # flat power table of all four factors
     powers: np.ndarray
+    # the (4, 2s+1) seed of that table, indices into (1, a, conj(a), b,
+    # -conj(b)): row r is 0, then r + 1 repeated 2s times, so that its
+    # running product along each row is the powers 0..2s of factor r
+    seed: np.ndarray
 
 
 @cache
@@ -121,10 +130,13 @@ def _plan(ts: int) -> _Plan:
                 slots.extend((2 * flat, 2 * flat + 1))
                 coef.append(pref / den)
                 powers.append((e_a, dim + e_ac, 2 * dim + e_b, 3 * dim + i))
+    seed = np.repeat(np.arange(1, 5, dtype=np.intp), dim).reshape(4, dim)
+    seed[:, 0] = 0
     plan = _Plan(
         slots=np.array(slots, dtype=np.intp),
         coef=np.array(coef, dtype=complex),
         powers=np.array(powers, dtype=np.intp).T.copy(),
+        seed=seed,
     )
     for arr in plan:
         arr.flags.writeable = False
@@ -140,18 +152,15 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion) -> np.ndarray:
     _require_instance(q, UnitQuaternion, "rotation must be a UnitQuaternion, got {value!r}")
     ts = s.twice
     dim = ts + 1
-    slots, coef, powers = _plan(ts)
+    slots, coef, powers, seed = _plan(ts)
     # the Cayley-Klein pair of q
     a, b = complex(q.w, -q.z), complex(-q.y, -q.x)
-    pw: list[complex] = []
-    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k
-    for x in (a, a.conjugate(), b, -b.conjugate()):
-        p = 1.0 + 0.0j
-        pw.append(p)
-        for _ in range(ts):
-            p *= x
-            pw.append(p)
-    factors = np.array(pw, dtype=complex)[powers]
+    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k: an
+    # in-place accumulate steps through numpy's scalar complex loop, which
+    # rounds each product as Python's complex multiply does
+    table = np.array((1.0, a, a.conjugate(), b, -b.conjugate()))[seed]
+    np.multiply.accumulate(table, axis=1, out=table)
+    factors = table.ravel()[powers]
     terms = coef * factors[0] * factors[1] * factors[2] * factors[3]
     out = np.bincount(slots, weights=terms.view(float), minlength=2 * dim * dim)
     return out.view(complex).reshape(dim, dim)
