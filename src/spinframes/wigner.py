@@ -25,13 +25,16 @@ values. numpy's complex multiply can round differently from Python's scalar
 one, and from itself with the operands swapped, so each term stays coef *
 a^i * conj(a)^j * b^k * (-conj(b))^l, multiplied as numpy arrays in that
 operand order, and each entry sums its own terms in plan order. The powers
-are repeated products from one numpy accumulate over the table, seeded with
-1 and then the factor in each row. The accumulate reads and writes one
-array, so numpy cannot vectorize it and steps through its scalar complex
-loop: two products and one sum or difference per part, as Python's complex
-multiply rounds them, so each power has the bits of the Python product
-1 * x * x * ... * x. A pure-Python or reordered kernel would not give the
-same bits.
+are repeated products from one numpy accumulate along the rows of the
+table, seeded with 1 and then the factor. Each row's accumulate hands
+numpy's complex multiply an output that overlaps its input one element on,
+which numpy's SIMD loops (some of them fused multiply-adds) decline, so the
+products run in its scalar loop: two products and one sum or difference
+per part, rounded as Python's complex multiply rounds them. At 2s = 1 the
+one product per row, 1 * x, overlaps nothing and may take a SIMD loop, but
+each of its products is exact, so it rounds the same. Every power thus has
+the bits of the Python product 1 * x * ... * x. A pure-Python or reordered
+kernel would not give the same bits.
 
 The double-cover sign stays structural: negating q negates each factor
 exactly, a power built by repeated products picks up exactly (-1)^k, and each
@@ -155,9 +158,8 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion) -> np.ndarray:
     slots, coef, powers, seed = _plan(ts)
     # the Cayley-Klein pair of q
     a, b = complex(q.w, -q.z), complex(-q.y, -q.x)
-    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k: an
-    # in-place accumulate steps through numpy's scalar complex loop, which
-    # rounds each product as Python's complex multiply does
+    # powers by repeated products, so that (-x)^k is exactly (-1)^k x^k,
+    # rounded as Python's complex multiply rounds them (module docstring)
     table = np.array((1.0, a, a.conjugate(), b, -b.conjugate()))[seed]
     np.multiply.accumulate(table, axis=1, out=table)
     factors = table.ravel()[powers]

@@ -21,6 +21,7 @@ from spinframes import (
     FrameTag,
     ParticleDescriptor,
     TwiceSpin,
+    UnitQuaternion,
     Vec3,
     clebsch_gordan,
     compose,
@@ -93,7 +94,10 @@ def test_matches_per_entry_loop_oracle():
 
 def kernel_test_rotations(rng):
     """Random rotations, rotations by 0, pi/2, pi and 2 pi about each axis,
-    and both sheets of the half-turn about each axis and a random one."""
+    both sheets of the half-turn about each axis and a random one, and the
+    quaternions +-1 on one component with zeros of either sign elsewhere,
+    whose Cayley-Klein factors and powers carry signed zeros (-0.0 - 1j
+    among them, whose first power 1 * x has the real part +0.0)."""
     axes = [Vec3(1.0, 0.0, 0.0), YHAT, ZHAT]
     qs = [rand_quaternion(rng) for _ in range(6)]
     qs += [
@@ -102,6 +106,13 @@ def kernel_test_rotations(rng):
         for angle in (0.0, math.pi / 2.0, math.pi, 2.0 * math.pi)
     ]
     qs += [half_turn(k, sheet) for k in axes + [rand_unit_vec(rng)] for sheet in (1, -1)]
+    qs += [
+        UnitQuaternion(*(one if i == k else zero for i in range(4)))
+        for k in range(4)
+        for one in (1.0, -1.0)
+        for zero in (0.0, -0.0)
+    ]
+    qs += [UnitQuaternion(-0.0, 0.0, -1.0, -0.0), UnitQuaternion(0.0, -0.0, -0.0, 1.0), -IDENTITY]
     return qs
 
 
