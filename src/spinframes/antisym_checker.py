@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .exactnum import TwiceSpin, _require_instance, order_dependence_phase
+from .exactnum import TwiceSpin, _require_instance, _show, order_dependence_phase
 
 # Largest N of the impossibility report: a scale guard on the report's
 # rows. The rows come from one parity forest grown to N particles, which
@@ -39,9 +39,9 @@ MAX_REPORT_N = 20
 def _require_pair(pair: object, what: str, bad: str) -> None:
     """TypeError naming what unless pair is a tuple or list; ValueError
     starting with bad unless it has exactly two items."""
-    _require_instance(pair, (tuple, list), what + " must be a tuple or list pair, got {value!r}")
+    _require_instance(pair, (tuple, list), what + " must be a tuple or list pair, got {value}")
     if len(pair) != 2:
-        raise ValueError(f"{bad} {pair!r}")
+        raise ValueError(f"{bad} {_show(pair)}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class ParityLedger:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _require_instance(self.n_particles, int, "n_particles must be an int, got {value!r}")
+        _require_instance(self.n_particles, int, "n_particles must be an int, got {value}")
         for row in self.table:
             for turns in row:
-                _require_instance(turns, int, "turn count must be an int, got {value!r}")
+                _require_instance(turns, int, "turn count must be an int, got {value}")
         if len(self.table) != self.n_particles or any(
             len(row) != self.n_particles for row in self.table
         ):
@@ -72,9 +72,9 @@ class ParityLedger:
     def particle_total(self, i: int) -> int:
         """Net turn count of particle i (0 <= i < n_particles), summed over
         slots."""
-        _require_instance(i, int, "particle index must be an int, got {value!r}")
+        _require_instance(i, int, "particle index must be an int, got {value}")
         if not 0 <= i < self.n_particles:
-            raise ValueError(f"particle index {i} outside [0, {self.n_particles})")
+            raise ValueError(f"particle index {_show(i)} outside [0, {self.n_particles})")
         return sum(row[i] for row in self.table)
 
 
@@ -101,10 +101,10 @@ def check_noninterference(
         raise ValueError("ledgers have different particle counts")
     _require_pair(exchanged, "exchanged pair", "invalid exchanged pair")
     i, j = exchanged
-    _require_instance(i, int, "exchanged end must be an int, got {value!r}")
-    _require_instance(j, int, "exchanged end must be an int, got {value!r}")
+    _require_instance(i, int, "exchanged end must be an int, got {value}")
+    _require_instance(j, int, "exchanged end must be an int, got {value}")
     if i == j or not (0 <= i < before.n_particles and 0 <= j < before.n_particles):
-        raise ValueError(f"invalid exchanged pair {exchanged!r}")
+        raise ValueError(f"invalid exchanged pair {_show(exchanged)}")
     return all(
         before.particle_total(k) % 2 == after.particle_total(k) % 2
         for k in range(before.n_particles)
@@ -126,27 +126,27 @@ class ExchangeConstraintSystem:
 
     def __post_init__(self) -> None:
         n = self.n_vars
-        _require_instance(n, int, "n_vars must be an int, got {value!r}")
+        _require_instance(n, int, "n_vars must be an int, got {value}")
         if n < 0:
-            raise ValueError(f"n_vars must be non-negative, got {n}")
+            raise ValueError(f"n_vars must be non-negative, got {_show(n)}")
         _require_instance(
             self.constraints, Sequence, "constraints must be a sequence of pairs, got {type}"
         )
         for pair in self.constraints:
             _require_pair(pair, "constraint", "bad constraint pair")
             i, j = pair
-            _require_instance(i, int, "constraint end must be an int, got {value!r}")
-            _require_instance(j, int, "constraint end must be an int, got {value!r}")
+            _require_instance(i, int, "constraint end must be an int, got {value}")
+            _require_instance(j, int, "constraint end must be an int, got {value}")
             if not (0 <= i < j < n):
-                raise ValueError(f"bad constraint pair ({i}, {j})")
+                raise ValueError(f"bad constraint pair ({_show(i)}, {_show(j)})")
 
 
 def build_constraints(n_particles: int) -> ExchangeConstraintSystem:
     """One XOR-inequality per unordered particle pair: N(N-1)/2 in all, as a
     tuple in lexicographic order."""
-    _require_instance(n_particles, int, "n_particles must be an int, got {value!r}")
+    _require_instance(n_particles, int, "n_particles must be an int, got {value}")
     if n_particles < 2:
-        raise ValueError(f"need at least two particles, got {n_particles}")
+        raise ValueError(f"need at least two particles, got {_show(n_particles)}")
     return ExchangeConstraintSystem(
         n_vars=n_particles,
         constraints=tuple(itertools.combinations(range(n_particles), 2)),
@@ -267,9 +267,9 @@ def impossibility_report(n_max: int) -> list[tuple[int, bool, int]]:
     exhaustive_satisfiable(build_constraints(N)) for each N, at O(n_max)
     work for the whole report.
     """
-    _require_instance(n_max, int, "N_max must be an int, got {value!r}")
+    _require_instance(n_max, int, "N_max must be an int, got {value}")
     if not 2 <= n_max <= MAX_REPORT_N:
-        raise ValueError(f"N_max={n_max} outside [2, {MAX_REPORT_N}]")
+        raise ValueError(f"N_max={_show(n_max)} outside [2, {MAX_REPORT_N}]")
     forest = _ParityForest(1)
     satisfiable = True
     rows = []

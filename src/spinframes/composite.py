@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import (
-    EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, m_range, order_dependence_phase
+    EPS, TwiceSpin, _require_instance, _show, float_bits, fmt15_complex, m_range, order_dependence_phase
 )
 from .exactnum import exclusion_check, pseudo_antisymmetry_sign  # noqa: F401  (bound here too)
 from .rotations import UnitQuaternion, half_turn
@@ -33,12 +33,12 @@ class CompositeProjection:
     amplitudes: dict[tuple[TwiceSpin, int], complex]
 
     def amplitude(self, S: TwiceSpin, tM: int) -> complex:
-        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
+        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value}")
         return self.amplitudes.get((S, S.component(tM)), 0j)
 
     def weight(self, S: TwiceSpin) -> float:
         """Total probability in the composite-spin-S channel."""
-        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
+        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value}")
         return float(
             sum(abs(v) ** 2 for (tS, _), v in self.amplitudes.items() if tS == S)
         )
@@ -95,7 +95,7 @@ def project_composite(
     else:
         raise TypeError(
             "route must be an int sheet (+1 or -1) or a tuple or list of two "
-            f"UnitQuaternions, got {route!r}"
+            f"UnitQuaternions, got {_show(route)}"
         )
     table = CGTable(s_a, s_b)
     amps = dict(zip(table.channels, (common.reshape(-1) @ table.matrix).tolist()))
@@ -110,7 +110,7 @@ def pseudo_antisymmetrize(psi: np.ndarray, s: TwiceSpin) -> np.ndarray:
     For half-integer s this looks like antisymmetrization, for integer s like
     symmetrization; both keep exactly the even-S coupling channels.
     """
-    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value}")
     _require_amplitude_matrix(psi, "psi", (s.dim, s.dim))
     if psi.dtype.kind in "iu":
         psi = psi.astype(float)  # the sum below would wrap around in an int dtype
@@ -163,20 +163,20 @@ def build_pair_spin_operator(
     Hermitian by construction; its spectrum is S(S+1) over the coupling range
     of |subset| spins s.
     """
-    _require_instance(n_particles, int, "N must be an int, got {value!r}")
-    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(n_particles, int, "N must be an int, got {value}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value}")
     if n_particles > MAX_OPERATOR_PARTICLES:
-        raise ValueError(f"N={n_particles} exceeds bound {MAX_OPERATOR_PARTICLES}")
+        raise ValueError(f"N={_show(n_particles)} exceeds bound {MAX_OPERATOR_PARTICLES}")
     if s.twice > MAX_OPERATOR_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds bound {MAX_OPERATOR_TWICE_SPIN}")
-    _require_instance(subset, (set, frozenset), "subset must be a set or frozenset, got {value!r}")
+        raise ValueError(f"2s={_show(s.twice)} exceeds bound {MAX_OPERATOR_TWICE_SPIN}")
+    _require_instance(subset, (set, frozenset), "subset must be a set or frozenset, got {value}")
     subset = frozenset(subset)
     for label in subset:
-        _require_instance(label, int, "subset label must be an int, got {value!r}")
+        _require_instance(label, int, "subset label must be an int, got {value}")
     if len(subset) < 2:
         raise ValueError("subset must contain at least two particles")
     if not subset <= set(range(1, n_particles + 1)):
-        raise ValueError(f"subset {sorted(subset)} not within 1..{n_particles}")
+        raise ValueError(f"subset {_show(sorted(subset))} not within 1..{n_particles}")
     components = _single_spin_matrices(s)
     dim_total = s.dim**n_particles
     total = np.zeros((dim_total, dim_total), dtype=complex)
@@ -207,10 +207,10 @@ def max_commuting_pairset(n_particles: int, s: TwiceSpin) -> int:
     family would need. For s = 0 every operator is zero and all 2^N - N - 1
     subsets commute.
     """
-    _require_instance(n_particles, int, "N must be an int, got {value!r}")
-    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(n_particles, int, "N must be an int, got {value}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value}")
     if n_particles < 0:
-        raise ValueError(f"N must be non-negative, got {n_particles}")
+        raise ValueError(f"N must be non-negative, got {_show(n_particles)}")
     if s.twice == 0:
         return 2**n_particles - n_particles - 1
     return max(n_particles - 1, 0)

@@ -41,11 +41,30 @@ N_FACT = 40
 MAX_TWICE_SPIN = 12
 
 
+def _show(*values: object) -> str:
+    """The reprs of values, comma-joined: the package's one way to show a
+    caller's value in an error message. It cannot itself raise where repr
+    does: an int with more digits than Python converts to text (4300 by
+    default) shows as its size in bits, and a value holding one as its
+    type's name."""
+    texts = []
+    for value in values:
+        try:
+            texts.append(repr(value))
+        except ValueError:
+            if isinstance(value, int):
+                texts.append(f"<int of {value.bit_length()} bits>")
+            else:
+                texts.append(f"<{type(value).__name__} holding an int too large to show>")
+    return ",".join(texts)
+
+
 def _require_instance(value: object, kind: type | tuple[type, ...], what: str) -> None:
     """The package's one type check: TypeError unless value is an instance of
-    kind and not a bool, its message what formatted with {value} and {type}."""
+    kind and not a bool, its message what formatted with {value} (the value
+    as _show gives it) and {type}."""
     if not isinstance(value, kind) or value is True or value is False:
-        raise TypeError(what.format(value=value, type=type(value).__name__))
+        raise TypeError(what.format(value=_show(value), type=type(value).__name__))
 
 
 def _finite(*values: float) -> bool:
@@ -65,9 +84,9 @@ class TwiceSpin:
     twice: int
 
     def __post_init__(self) -> None:
-        _require_instance(self.twice, int, "twice-spin must be an int, got {value!r}")
+        _require_instance(self.twice, int, "twice-spin must be an int, got {value}")
         if self.twice < 0:
-            raise ValueError(f"twice-spin must be >= 0, got {self.twice}")
+            raise ValueError(f"twice-spin must be >= 0, got {_show(self.twice)}")
 
     def is_halfon(self) -> bool:
         """True when s is half-integer (2s odd)."""
@@ -86,12 +105,12 @@ class TwiceSpin:
         """twice_m, checked as a projection 2m of this spin; the one check a
         projection label gets. TypeError unless an int; ValueError if
         |2m| > 2s or if 2m and 2s differ in parity."""
-        _require_instance(twice_m, int, "twice-m must be an int, got {value!r}")
+        _require_instance(twice_m, int, "twice-m must be an int, got {value}")
         if abs(twice_m) > self.twice:
-            raise ValueError(f"|2m|={abs(twice_m)} exceeds 2s={self.twice}")
+            raise ValueError(f"|2m|={_show(abs(twice_m))} exceeds 2s={_show(self.twice)}")
         if (twice_m - self.twice) % 2 != 0:
             raise ValueError(
-                f"2m={twice_m} must have the same parity as 2s={self.twice}"
+                f"2m={_show(twice_m)} must have the same parity as 2s={_show(self.twice)}"
             )
         return twice_m
 
@@ -102,8 +121,8 @@ class TwiceSpin:
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+            return _show(self.twice // 2)
+        return f"{_show(self.twice)}/2"
 
     def __hash__(self) -> int:  # the int's own hash, without a field tuple
         return hash(self.twice)
@@ -112,16 +131,16 @@ class TwiceSpin:
 def _require_supported(s: TwiceSpin) -> None:
     """TypeError unless s is a TwiceSpin; ValueError unless 2s is at most
     MAX_TWICE_SPIN."""
-    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value}")
     if s.twice > MAX_TWICE_SPIN:
-        raise ValueError(f"2s={s.twice} exceeds supported maximum {MAX_TWICE_SPIN}")
+        raise ValueError(f"2s={_show(s.twice)} exceeds supported maximum {MAX_TWICE_SPIN}")
 
 
 def factorial_exact(n: int) -> int:
     """n! as an exact integer; n must lie in [0, N_FACT]."""
-    _require_instance(n, int, "factorial argument must be an int, got {value!r}")
+    _require_instance(n, int, "factorial argument must be an int, got {value}")
     if n < 0 or n > N_FACT:
-        raise ValueError(f"factorial argument {n} outside [0, {N_FACT}]")
+        raise ValueError(f"factorial argument {_show(n)} outside [0, {N_FACT}]")
     return math.factorial(n)
 
 
@@ -129,8 +148,14 @@ def m_range(s: TwiceSpin) -> list[int]:
     """All projection labels 2m of spin s, descending from +2s to -2s.
 
     Every matrix in this package indexes its rows and columns in this order.
+    2s is bounded by 2 * MAX_TWICE_SPIN, the largest total spin 2S of a
+    supported pair, whose channel labels the coupling tables list.
     """
-    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(s, TwiceSpin, "spin must be a TwiceSpin, got {value}")
+    if s.twice > 2 * MAX_TWICE_SPIN:
+        raise ValueError(
+            f"2s={_show(s.twice)} exceeds {2 * MAX_TWICE_SPIN}, the largest 2S of a supported pair"
+        )
     return list(range(s.twice, -s.twice - 1, -2))
 
 
@@ -138,14 +163,14 @@ def total_spins(s1: TwiceSpin, s2: TwiceSpin) -> range:
     """The doubled total spins 2S that s1 and s2 couple to, ascending: the
     triangle rule |s1 - s2| <= S <= s1 + s2, with 2S of the parity of
     2s1 + 2s2. A range, so a membership test costs no list."""
-    _require_instance(s1, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
-    _require_instance(s2, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+    _require_instance(s1, TwiceSpin, "spin must be a TwiceSpin, got {value}")
+    _require_instance(s2, TwiceSpin, "spin must be a TwiceSpin, got {value}")
     return range(abs(s1.twice - s2.twice), s1.twice + s2.twice + 1, 2)
 
 
 def neg_one_pow(k: int) -> int:
     """(-1)**k for any integer k, computed by parity."""
-    _require_instance(k, int, "exponent must be an int, got {value!r}")
+    _require_instance(k, int, "exponent must be an int, got {value}")
     return 1 if k % 2 == 0 else -1
 
 
@@ -154,16 +179,16 @@ def order_dependence_phase(n: list[int], spins: list[TwiceSpin]) -> int:
     turned through n_i full turns; only the parities of the n_i matter.
     n and spins must be lists or tuples, each n_i an int and each s_i a
     TwiceSpin (TypeError)."""
-    _require_instance(n, (list, tuple), "n must be a list or tuple of turn counts, got {value!r}")
-    _require_instance(spins, (list, tuple), "spins must be a list or tuple of TwiceSpins, got {value!r}")
+    _require_instance(n, (list, tuple), "n must be a list or tuple of turn counts, got {value}")
+    _require_instance(spins, (list, tuple), "spins must be a list or tuple of TwiceSpins, got {value}")
     if len(n) != len(spins):
         raise ValueError(
             f"need one turn count per particle: {len(n)} counts, {len(spins)} spins"
         )
     total = 0
     for n_i, s_i in zip(n, spins):
-        _require_instance(n_i, int, "turn count must be an int, got {value!r}")
-        _require_instance(s_i, TwiceSpin, "spin must be a TwiceSpin, got {value!r}")
+        _require_instance(n_i, int, "turn count must be an int, got {value}")
+        _require_instance(s_i, TwiceSpin, "spin must be a TwiceSpin, got {value}")
         total += n_i * s_i.twice
     return neg_one_pow(total)
 
@@ -175,10 +200,10 @@ def exchange_symmetry_sign(s: TwiceSpin, S: TwiceSpin) -> int:
     Follows from the coefficient symmetry <s m2; s m1 | S M> =
     (-1)^(2s - S) <s m1; s m2 | S M>; independent of M.
     """
-    _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
+    _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value}")
     if S.twice not in total_spins(s, s):
         raise ValueError(
-            f"2S={S.twice} is not a valid total spin for two spin {s} particles"
+            f"2S={_show(S.twice)} is not a valid total spin for two spin {s} particles"
         )
     return neg_one_pow(s.twice - S.twice // 2)
 

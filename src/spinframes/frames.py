@@ -82,7 +82,7 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     is first scaled by a power of two, so any finite non-zero magnitude
     works and in-range inputs give the same bits as unscaled arithmetic.
     """
-    _require_instance(tag, str, "tag must be a str, got {value!r}")
+    _require_instance(tag, str, "tag must be a str, got {value}")
     _require_finite(p_this, "momentum")
     _require_finite(p_other, "momentum")
     p_this, normal = _spanning_normal(p_this, p_other)

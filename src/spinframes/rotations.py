@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import EPS, _finite, _require_instance
+from .exactnum import EPS, _finite, _require_instance, _show
 
 # Geometry comparisons (frame orthonormality, matrix residuals) run at a
 # looser tolerance than the algebraic EPS.
@@ -110,7 +110,7 @@ class UnitQuaternion:
             unit = -EPS <= n2 - 1.0 <= EPS
         except TypeError:
             raise TypeError(
-                f"quaternion components must be real numbers, got {self.components()!r}"
+                f"quaternion components must be real numbers, got {_show(self.components())}"
             ) from None
         except OverflowError:
             n2, unit = math.inf, False
@@ -139,14 +139,14 @@ def _pow2_scaled(p: _Triple) -> _Triple:
 def _require_finite(v: Vec3, what: str) -> None:
     """TypeError naming what unless v is a Vec3 of real numbers, ValueError
     unless finite."""
-    _require_instance(v, Vec3, what + " must be a Vec3, got {value!r}")
+    _require_instance(v, Vec3, what + " must be a Vec3, got {value}")
     x, y, z = v.x, v.y, v.z
     # a float triple passes the first test; a complex component, numpy's
     # included, fails the second
     if not (type(x) is type(y) is type(z) is float or all(isinstance(c, numbers.Real) for c in (x, y, z))):
-        raise TypeError(f"{what} must be a Vec3 of real numbers, got {v!r}")
+        raise TypeError(f"{what} must be a Vec3 of real numbers, got {_show(v)}")
     if not _finite(x, y, z):
-        raise ValueError(f"{what} {x!r},{y!r},{z!r} is not finite")
+        raise ValueError(f"{what} {_show(x, y, z)} is not finite")
 
 
 def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
@@ -159,9 +159,9 @@ def from_axis_angle(axis: Vec3, angle: float) -> UnitQuaternion:
     real number but a bool, numpy's float scalars included.
     """
     _require_finite(axis, "rotation axis")
-    _require_instance(angle, numbers.Real, "rotation angle must be a real number, got {value!r}")
+    _require_instance(angle, numbers.Real, "rotation angle must be a real number, got {value}")
     if not _finite(angle):
-        raise ValueError(f"rotation angle {angle!r} is not finite")
+        raise ValueError(f"rotation angle {_show(angle)} is not finite")
     x, y, z = _pow2_scaled(axis.components())
     n = _norm3((x, y, z))
     if n == 0.0:
@@ -180,10 +180,10 @@ def half_turn(axis: Vec3, sheet: int) -> UnitQuaternion:
     double-cover sign laws downstream need bit for bit. The caller supplies
     a unit axis. There is no default sheet, and bool is not accepted as one.
     """
-    _require_instance(axis, Vec3, "axis must be a Vec3, got {value!r}")
-    _require_instance(sheet, int, "sheet must be an int, got {value!r}")
+    _require_instance(axis, Vec3, "axis must be a Vec3, got {value}")
+    _require_instance(sheet, int, "sheet must be an int, got {value}")
     if sheet not in (1, -1):
-        raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
+        raise ValueError(f"sheet must be +1 or -1, got {_show(sheet)}")
     return UnitQuaternion(0.0, sheet * axis.x, sheet * axis.y, sheet * axis.z)
 
 
@@ -193,8 +193,8 @@ def compose(q1: UnitQuaternion, q2: UnitQuaternion) -> UnitQuaternion:
     Renormalization divides by a positive scalar, so the double-cover sign of
     the product is untouched.
     """
-    _require_instance(q1, UnitQuaternion, "q1 must be a UnitQuaternion, got {value!r}")
-    _require_instance(q2, UnitQuaternion, "q2 must be a UnitQuaternion, got {value!r}")
+    _require_instance(q1, UnitQuaternion, "q1 must be a UnitQuaternion, got {value}")
+    _require_instance(q2, UnitQuaternion, "q2 must be a UnitQuaternion, got {value}")
     w = q1.w * q2.w - q1.x * q2.x - q1.y * q2.y - q1.z * q2.z
     x = q1.w * q2.x + q1.x * q2.w + q1.y * q2.z - q1.z * q2.y
     y = q1.w * q2.y - q1.x * q2.z + q1.y * q2.w + q1.z * q2.x
@@ -222,7 +222,7 @@ def to_matrix3(q: UnitQuaternion) -> np.ndarray:
 
     This is the two-to-one covering map: to_matrix3(q) == to_matrix3(-q).
     """
-    _require_instance(q, UnitQuaternion, "q must be a UnitQuaternion, got {value!r}")
+    _require_instance(q, UnitQuaternion, "q must be a UnitQuaternion, got {value}")
     w, x, y, z = q.w, q.x, q.y, q.z
     return np.array(
         [

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, fmt15_join
-from .exactnum import _finite, m_range, order_dependence_phase
+from .exactnum import _finite, _show, m_range, order_dependence_phase
 from .frames import _spanning_normal, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse, turn_parity
 from .wigner import _evaluate
@@ -189,7 +189,7 @@ class PairState:
         basis = set(labels)
         foreign = [k for k in amps if k not in basis]
         if foreign:
-            raise ValueError(f"amplitude label {foreign[0]!r} is not in the pair's basis")
+            raise ValueError(f"amplitude label {_show(foreign[0])} is not in the pair's basis")
         labels = tuple(sorted(basis, reverse=True))
         return labels, [amps.get(k, 0j) for k in labels]
 
@@ -211,9 +211,9 @@ class PairState:
         """Same descriptor pair and amplitudes equal within tol, label by
         label. other must be a PairState and tol a finite real number >= 0."""
         _require_instance(other, PairState, "other must be a PairState, got {type}")
-        _require_instance(tol, numbers.Real, "tol must be a real number, got {value!r}")
+        _require_instance(tol, numbers.Real, "tol must be a real number, got {value}")
         if not (_finite(tol) and tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+            raise ValueError(f"tol must be finite and >= 0, got {_show(tol)}")
         if self.desc_a != other.desc_a or self.desc_b != other.desc_b:
             return False
         pairs = zip(self._basis_amplitudes()[1], other._basis_amplitudes()[1])
@@ -222,9 +222,9 @@ class PairState:
     def scaled(self, c: complex) -> PairState:
         """Every amplitude times c, a complex number (TypeError otherwise,
         a bool included); a non-finite c raises ValueError."""
-        _require_instance(c, numbers.Complex, "scale factor must be a complex number, got {value!r}")
+        _require_instance(c, numbers.Complex, "scale factor must be a complex number, got {value}")
         if not _finite(c.real, c.imag):
-            raise ValueError(f"scale factor {c!r} is not finite")
+            raise ValueError(f"scale factor {_show(c)} is not finite")
         return PairState(self.desc_a, self.desc_b, {k: c * v for k, v in self.amplitudes.items()})
 
     def dump(self) -> str:
@@ -254,7 +254,7 @@ class OrderedDescription:
     half_turns: tuple[UnitQuaternion, ...] = field(repr=False, compare=False)
 
     def __init__(self, slots: list[ParticleDescriptor] | tuple[ParticleDescriptor, ...]) -> None:
-        _require_instance(slots, (list, tuple), "slots must be a list or tuple, got {value!r}")
+        _require_instance(slots, (list, tuple), "slots must be a list or tuple, got {value}")
         slots = tuple(slots)
         for slot in slots:
             _require_instance(slot, ParticleDescriptor, "slot must be a ParticleDescriptor, got {type}")
@@ -409,7 +409,7 @@ def exchange_order_dependent(
     the original within EPS. Cases differ by (-1)^(2s_a + 2s_b).
     """
     d1, d2 = _two_slots(ordered, "exchange")
-    _require_instance(case, ExchangeCase, "case must be an ExchangeCase, got {value!r}")
+    _require_instance(case, ExchangeCase, "case must be an ExchangeCase, got {value}")
     r21 = ordered.half_turns[0]
     # FIRST: d2 keeps its rotation, compose(d1.R_BS, r21)
     first = d2 if case is ExchangeCase.FIRST else _follow(d1, d2, inverse(r21))

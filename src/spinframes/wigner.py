@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactnum import (
-    TwiceSpin, _require_instance, _require_supported, factorial_exact, m_range, total_spins
+    TwiceSpin, _require_instance, _require_supported, _show, factorial_exact, m_range, total_spins
 )
 from .rotations import UnitQuaternion
 
@@ -152,7 +152,7 @@ def _evaluate(s: TwiceSpin, q: UnitQuaternion) -> np.ndarray:
     multiplied in that operand order, and every entry sums its own terms in
     plan order."""
     _require_supported(s)
-    _require_instance(q, UnitQuaternion, "rotation must be a UnitQuaternion, got {value!r}")
+    _require_instance(q, UnitQuaternion, "rotation must be a UnitQuaternion, got {value}")
     ts = s.twice
     dim = ts + 1
     slots, coef, powers, seed = _plan(ts)
@@ -245,11 +245,11 @@ class CGTable:
         its spin, and S against the triangle rule (including the parity of
         the doubled labels), before the M = m1 + m2 selection rule."""
         row = self.s1.index(tm1) * self.s2.dim + self.s2.index(tm2)
-        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value!r}")
+        _require_instance(S, TwiceSpin, "S must be a TwiceSpin, got {value}")
         S.component(tM)
         if S.twice not in total_spins(self.s1, self.s2):
             raise ValueError(
-                f"total spin 2S={S.twice} is not a coupling of 2s1="
+                f"total spin 2S={_show(S.twice)} is not a coupling of 2s1="
                 f"{self.s1.twice} and 2s2={self.s2.twice} (triangle rule and parity)"
             )
         if tm1 + tm2 != tM:

@@ -13,6 +13,7 @@ import pytest
 import spinframes
 from spinframes import (
     MAX_TWICE_SPIN,
+    CGTable,
     TwiceSpin,
     Vec3,
     half_turn,
@@ -21,7 +22,7 @@ from spinframes import (
     total_spins,
 )
 from spinframes.exactnum import N_FACT, factorial_exact, float_bits, fmt15, fmt15_join, neg_one_pow
-from spinframes.exactnum import fmt15_complex
+from spinframes.exactnum import _show, fmt15_complex
 from spinframes import cli, composite, exactnum, states
 
 
@@ -100,6 +101,25 @@ def test_m_range_descending():
     assert m_range(TwiceSpin(1)) == [1, -1]
     assert m_range(TwiceSpin(0)) == [0]
     assert m_range(TwiceSpin(4)) == [4, 2, 0, -2, -4]
+
+
+def test_m_range_reaches_the_largest_total_spin_of_a_supported_pair():
+    # the coupling of two spin-6 particles lists channels up to 2S = 24
+    top = TwiceSpin(2 * MAX_TWICE_SPIN)
+    assert m_range(top) == list(range(24, -25, -2))
+    assert CGTable(TwiceSpin(MAX_TWICE_SPIN), TwiceSpin(MAX_TWICE_SPIN)).channels[-1] == (top, -24)
+    with pytest.raises(ValueError, match=r"^2s=25 exceeds 24"):
+        m_range(TwiceSpin(25))
+
+
+def test_show_is_repr_and_cannot_raise():
+    assert _show(1.5, -0.0, float("inf"), 3) == "1.5,-0.0,inf,3"
+    assert _show((1, "a")) == "(1, 'a')"
+    giant = 10**5000
+    assert _show(giant) == f"<int of {giant.bit_length()} bits>"
+    assert _show(-giant, 2.0) == f"<int of {giant.bit_length()} bits>,2.0"
+    assert _show((giant, 0)) == "<tuple holding an int too large to show>"
+    assert str(TwiceSpin(2 * giant)) == f"<int of {giant.bit_length()} bits>"
 
 
 def test_neg_one_pow_values():

@@ -1,7 +1,9 @@
 """The package's one input rule, pinned over its whole public surface: a
 wrong-typed argument to any public callable is a TypeError whose message
-starts with the argument's name, and a number too large for a float is a
-ValueError that names it the same way."""
+starts with the argument's name, a number too large for a float is a
+ValueError that names it the same way, and a spin past its bound is a
+ValueError that names 2s. An int with more digits than Python converts to
+text gets the same errors, since no message prints it."""
 
 import ast
 import math
@@ -61,6 +63,8 @@ P_A, P_B = figure_pair(math.pi / 4.0)
 # type, and a tuple of the components a Vec3 or UnitQuaternion would hold
 QUAT = (1.0, 0.0, 0.0, 0.0)
 VEC = (0.0, 0.0, 1.0)
+# an int with more digits than Python converts to text (4300 by default)
+GIANT = 10**5000
 
 EXEMPT = (
     # constants
@@ -212,8 +216,13 @@ ROWS = (
     ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, 0.0, np.complex64(1)), 1.0)),
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(np.complex128(1), 0.0, 1.0))),
     ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, np.complex64(1), 1.0))),
+    # values whose repr would raise
+    ("wigner_D", "spin", lambda: wigner_D(GIANT, IDENTITY)),
+    ("compose", "q1", lambda: compose((GIANT, 0, 0, 0), IDENTITY)),
+    ("half_turn", "axis", lambda: half_turn((0.0, 0.0, GIANT), 1)),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(GIANT, "a", 1.0))),
 )
-# numbers too large for a float, which cmath.isfinite meets with an
+# numbers too large for a float, which math.isfinite meets with an
 # OverflowError: named as the same argument's inf is, where it enters
 HUGE = 10**400
 VALUE_ROWS = (
@@ -231,6 +240,29 @@ VALUE_ROWS = (
     ("PairState.scaled", "scale factor", lambda: state().scaled(HUGE)),
     ("PairState.scaled", "scale factor", lambda: state().scaled(-HUGE)),
     ("PairState.allclose", "tol", lambda: state().allclose(state(), HUGE)),
+    # and ones with more digits than the message could print
+    ("from_axis_angle", "rotation angle", lambda: from_axis_angle(Vec3(0.0, 0.0, 1.0), GIANT)),
+    ("from_axis_angle", "rotation axis", lambda: from_axis_angle(Vec3(0.0, GIANT, 1.0), 1.0)),
+    ("helicity_frame", "momentum", lambda: helicity_frame(Vec3(GIANT, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))),
+    ("bisector_axis", "momentum", lambda: bisector_axis(P_A, Vec3(0.0, 0.0, -GIANT))),
+    ("ParticleDescriptor", "momentum", lambda: desc(p=Vec3(0.0, GIANT, 1.0))),
+    ("PairState.scaled", "scale factor", lambda: state().scaled(GIANT)),
+    ("PairState.allclose", "tol", lambda: state().allclose(state(), GIANT)),
+    ("half_turn", "sheet", lambda: half_turn(ZHAT, GIANT)),
+    ("TwiceSpin", "twice-spin", lambda: TwiceSpin(-GIANT)),
+    ("impossibility_report", "N_max=<int", lambda: impossibility_report(GIANT)),
+)
+# spins past their bound: MAX_TWICE_SPIN, or for m_range twice that, the
+# largest total spin 2S of a supported pair
+SPIN_ROWS = (
+    ("m_range", "2s=25", lambda: m_range(TwiceSpin(25))),
+    ("m_range", "2s=100", lambda: m_range(TwiceSpin(100))),
+    ("m_range", "2s=<int", lambda: m_range(TwiceSpin(GIANT))),
+    ("wigner_D", "2s=13", lambda: wigner_D(TwiceSpin(13), IDENTITY)),
+    ("wigner_D", "2s=<int", lambda: wigner_D(TwiceSpin(GIANT), IDENTITY)),
+    ("exclusion_check", "2s=<int", lambda: exclusion_check(TwiceSpin(GIANT))),
+    ("CGTable", "2s=<int", lambda: CGTable(HALF, TwiceSpin(GIANT))),
+    ("build_pair_spin_operator", "2s=<int", lambda: build_pair_spin_operator(3, TwiceSpin(GIANT), {1, 2})),
 )
 # methods of objects that public callables return, checked like the callables
 METHODS = {
@@ -258,6 +290,7 @@ def _ids(table: str, rows: tuple) -> list[str]:
 
 IDS = _ids("ROWS", ROWS)
 VALUE_IDS = _ids("VALUE_ROWS", VALUE_ROWS)
+SPIN_IDS = _ids("SPIN_ROWS", SPIN_ROWS)
 
 
 @pytest.mark.parametrize("name, what, call", ROWS, ids=IDS)
@@ -274,9 +307,18 @@ def test_number_too_large_for_a_float_is_a_value_error_naming_the_argument(name,
     assert str(got.value).startswith(f"{what} "), str(got.value)
 
 
+@pytest.mark.parametrize("name, what, call", SPIN_ROWS, ids=SPIN_IDS)
+def test_spin_past_its_bound_is_a_value_error_naming_2s(name, what, call):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value).startswith(f"{what}"), str(got.value)
+    assert " exceeds " in str(got.value), str(got.value)
+
+
 def test_sweep_ids_are_unique():
     assert len(IDS) == len(ROWS) and len(set(IDS)) == len(IDS)
     assert len(VALUE_IDS) == len(VALUE_ROWS) and len(set(VALUE_IDS)) == len(VALUE_IDS)
+    assert len(SPIN_IDS) == len(SPIN_ROWS) and len(set(SPIN_IDS)) == len(SPIN_IDS)
 
 
 def test_every_public_callable_has_a_row_or_an_exemption():
