@@ -258,7 +258,6 @@ SPIN_ROWS = (
     ("m_range", "2s=25", lambda: m_range(TwiceSpin(25))),
     ("m_range", "2s=100", lambda: m_range(TwiceSpin(100))),
     ("m_range", "2s=<int", lambda: m_range(TwiceSpin(GIANT))),
-    ("wigner_D", "2s=13", lambda: wigner_D(TwiceSpin(13), IDENTITY)),
     ("wigner_D", "2s=<int", lambda: wigner_D(TwiceSpin(GIANT), IDENTITY)),
     ("exclusion_check", "2s=<int", lambda: exclusion_check(TwiceSpin(GIANT))),
     ("CGTable", "2s=<int", lambda: CGTable(HALF, TwiceSpin(GIANT))),
