@@ -34,6 +34,10 @@ from .exactnum import TwiceSpin, _require_instance, _show, order_dependence_phas
 # rows. The rows come from one parity forest grown to N particles, which
 # stops joining at the first odd cycle (N = 3), so total work grows as N.
 MAX_REPORT_N = 20
+# Largest N of an exchange constraint system: a memory guard. build_constraints
+# holds all N(N-1)/2 pairs (about 140 MB at the bound), and the parity forest
+# three lists of N entries.
+MAX_SYSTEM_N = 2000
 
 
 def _require_pair(pair: object, what: str, bad: str) -> None:
@@ -119,7 +123,7 @@ class ExchangeConstraintSystem:
 
     constraints must be a Sequence, not a one-pass iterator that validation
     would use up; every item must be a tuple or list pair (i, j) with int
-    ends 0 <= i < j < n_vars."""
+    ends 0 <= i < j < n_vars <= MAX_SYSTEM_N."""
 
     n_vars: int
     constraints: Sequence[tuple[int, int]]
@@ -129,6 +133,8 @@ class ExchangeConstraintSystem:
         _require_instance(n, int, "n_vars must be an int, got {value}")
         if n < 0:
             raise ValueError(f"n_vars must be non-negative, got {_show(n)}")
+        if n > MAX_SYSTEM_N:
+            raise ValueError(f"n_vars={_show(n)} exceeds MAX_SYSTEM_N={MAX_SYSTEM_N}")
         _require_instance(
             self.constraints, Sequence, "constraints must be a sequence of pairs, got {type}"
         )
@@ -143,10 +149,12 @@ class ExchangeConstraintSystem:
 
 def build_constraints(n_particles: int) -> ExchangeConstraintSystem:
     """One XOR-inequality per unordered particle pair: N(N-1)/2 in all, as a
-    tuple in lexicographic order."""
+    tuple in lexicographic order, for 2 <= N <= MAX_SYSTEM_N."""
     _require_instance(n_particles, int, "n_particles must be an int, got {value}")
     if n_particles < 2:
         raise ValueError(f"need at least two particles, got {_show(n_particles)}")
+    if n_particles > MAX_SYSTEM_N:
+        raise ValueError(f"n_particles={_show(n_particles)} exceeds MAX_SYSTEM_N={MAX_SYSTEM_N}")
     return ExchangeConstraintSystem(
         n_vars=n_particles,
         constraints=tuple(itertools.combinations(range(n_particles), 2)),

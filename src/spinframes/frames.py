@@ -19,7 +19,7 @@ from .rotations import (
     EPS_GEOM, UnitQuaternion, Vec3, frame_to_quaternion, half_turn, to_matrix3,
 )
 from .rotations import _cross3, _norm3, _pow2_scaled, _require_finite, _unit3
-from .rotations import _require_right_handed_triad, _Triple
+from .rotations import _require_right_handed_triad, _triad_fault, _Triple
 
 
 class CollinearMomentaError(ValueError):
@@ -53,19 +53,21 @@ def _scaled_momenta(p_a: Vec3, p_b: Vec3) -> tuple[_Triple, _Triple]:
     return _pow2_scaled(p_a.components()), _pow2_scaled(p_b.components())
 
 
-def _spanning_normal(p_this: Vec3, p_other: Vec3) -> tuple[_Triple, _Triple]:
-    """The check a helicity frame needs of two finite momenta, without
-    building one: they span a plane (else CollinearMomentaError). Returns
-    p_this scaled by its power of two and the normal p_this x p_other of
-    the scaled momenta, as float triples."""
+def _helicity_triad(p_this: Vec3, p_other: Vec3) -> tuple[_Triple, _Triple, _Triple]:
+    """p_this's helicity triad (xhat, yhat, zhat) as float triples, for two
+    finite momenta. CollinearMomentaError unless they span a plane and the
+    triad passes HelicityFrame's test, which a pair just above the span
+    threshold fails if it leaves the normal too rounded."""
     p_this, p_other = _scaled_momenta(p_this, p_other)
     n_this, n_other = _norm3(p_this), _norm3(p_other)
-    if n_this == 0.0 or n_other == 0.0:
-        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
     normal = _cross3(p_this, p_other)
-    if _norm3(normal) < EPS_GEOM * n_this * n_other:
+    if n_this == 0.0 or n_other == 0.0 or _norm3(normal) < EPS_GEOM * n_this * n_other:
         raise CollinearMomentaError("helicity frame undefined for collinear momenta")
-    return p_this, normal
+    zhat, yhat = _unit3(p_this), _unit3(normal)
+    xhat = _cross3(yhat, zhat)
+    if _triad_fault(xhat, yhat, zhat):
+        raise CollinearMomentaError("helicity frame undefined for collinear momenta")
+    return xhat, yhat, zhat
 
 
 def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
@@ -85,16 +87,8 @@ def helicity_frame(p_this: Vec3, p_other: Vec3, tag: str = "") -> HelicityFrame:
     _require_instance(tag, str, "tag must be a str, got {value}")
     _require_finite(p_this, "momentum")
     _require_finite(p_other, "momentum")
-    p_this, normal = _spanning_normal(p_this, p_other)
-    zhat = _unit3(p_this)
-    yhat = _unit3(normal)
-    xhat = _cross3(yhat, zhat)
-    try:
-        return HelicityFrame(particle_tag=tag, xhat=Vec3(*xhat), yhat=Vec3(*yhat), zhat=Vec3(*zhat))
-    except ValueError:
-        # momenta that pass the threshold above by a hair leave the normal
-        # too much rounding error for an orthonormal triad
-        raise CollinearMomentaError("helicity frame undefined for collinear momenta") from None
+    xhat, yhat, zhat = _helicity_triad(p_this, p_other)
+    return HelicityFrame(particle_tag=tag, xhat=Vec3(*xhat), yhat=Vec3(*yhat), zhat=Vec3(*zhat))
 
 
 def bisector_axis(p_a: Vec3, p_b: Vec3) -> Vec3:

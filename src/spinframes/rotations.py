@@ -234,20 +234,26 @@ def to_matrix3(q: UnitQuaternion) -> np.ndarray:
     )
 
 
-def _require_right_handed_triad(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> None:
+def _triad_fault(xhat: _Triple, yhat: _Triple, zhat: _Triple) -> str:
+    """Why float triples are not a right-handed orthonormal triad ("" if they are)."""
     # Each check is written as a positive test so that NaN axes fail it.
-    xhat, yhat, zhat = xhat.components(), yhat.components(), zhat.components()
     for v, name in ((xhat, "xhat"), (yhat, "yhat"), (zhat, "zhat")):
         if not abs(_norm3(v) - 1.0) <= EPS_GEOM:
-            raise ValueError(f"{name} is not unit length")
+            return f"{name} is not unit length"
     if not (
         abs(_dot3(xhat, yhat)) <= EPS_GEOM
         and abs(_dot3(yhat, zhat)) <= EPS_GEOM
         and abs(_dot3(zhat, xhat)) <= EPS_GEOM
     ):
-        raise ValueError("frame axes are not mutually orthogonal")
+        return "frame axes are not mutually orthogonal"
     if not _dot3(_cross3(xhat, yhat), zhat) >= 0.0:
-        raise ValueError("frame is left-handed (xhat x yhat points against zhat)")
+        return "frame is left-handed (xhat x yhat points against zhat)"
+    return ""
+
+
+def _require_right_handed_triad(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> None:
+    if fault := _triad_fault(xhat.components(), yhat.components(), zhat.components()):
+        raise ValueError(fault)
 
 
 def frame_to_quaternion(xhat: Vec3, yhat: Vec3, zhat: Vec3) -> UnitQuaternion:

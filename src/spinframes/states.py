@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactnum import EPS, TwiceSpin, _require_instance, float_bits, fmt15_complex, fmt15_join
 from .exactnum import _finite, _show, m_range, order_dependence_phase
-from .frames import _spanning_normal, bisector_axis
+from .frames import _helicity_triad, bisector_axis
 from .rotations import UnitQuaternion, Vec3, _require_finite, compose, half_turn, inverse, turn_parity
 from .wigner import _evaluate
 
@@ -286,11 +286,11 @@ def rotate_sqf(desc: ParticleDescriptor, q: UnitQuaternion) -> np.ndarray:
     return _evaluate(desc.s, q)[:, desc.s.index(desc.m)]
 
 
-def _require_noncollinear(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
-    # Helicity-based descriptions need the momentum pair to span a plane;
-    # canonical-based ones carry their frames independently of the partner.
+def _require_helicity_frames(desc_a: ParticleDescriptor, desc_b: ParticleDescriptor) -> None:
+    # Helicity-based descriptions need the pair's helicity frames (one rule,
+    # either order); canonical-based frames do not depend on the partner.
     if FrameTag.HELICITY in (desc_a.base, desc_b.base):
-        _spanning_normal(desc_a.p, desc_b.p)
+        _helicity_triad(desc_a.p, desc_b.p)
 
 
 def assemble_pair_canonical_orderfree(
@@ -309,7 +309,7 @@ def assemble_pair_canonical_orderfree(
     their amplitudes add.
     """
     _require_descriptors(desc_a, desc_b)
-    _require_noncollinear(desc_a, desc_b)
+    _require_helicity_frames(desc_a, desc_b)
     if desc_b.sort_key() < desc_a.sort_key():  # canonical order: amplitudes in basis order
         desc_a, desc_b, R_a, R_b = desc_b, desc_a, R_b, R_a
     col_a = rotate_sqf(desc_a, R_a).tolist()
@@ -361,7 +361,7 @@ def pair_state_from_matrix(
     _require_descriptors(desc_a, desc_b)
     _require_amplitude_matrix(matrix, "matrix", (desc_a.s.dim, desc_b.s.dim))
     _require_distinct_content(desc_a, desc_b)
-    _require_noncollinear(desc_a, desc_b)
+    _require_helicity_frames(desc_a, desc_b)
     if desc_b.sort_key() < desc_a.sort_key():  # canonical order: amplitudes in basis order
         return pair_state_from_matrix(desc_b, desc_a, matrix.T)
     values = np.asarray(matrix, dtype=complex).reshape(-1).tolist()

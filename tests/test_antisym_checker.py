@@ -225,6 +225,26 @@ def test_solver_has_no_size_bound():
     assert dfs_two_colouring(200, k200.constraints) == (False, None, 0)
 
 
+def test_system_size_is_bounded_before_any_pair_is_built(monkeypatch):
+    # build_constraints holds N(N-1)/2 pairs and the parity forest three
+    # lists of N entries, so N past MAX_SYSTEM_N is a ValueError naming N,
+    # raised before a single pair is enumerated
+    top = antisym_checker.MAX_SYSTEM_N
+    assert top >= 2000  # the largest system these tests solve
+    assert ExchangeConstraintSystem(n_vars=top, constraints=()).n_vars == top
+
+    def no_pairs(*args):
+        raise AssertionError("pairs enumerated past MAX_SYSTEM_N")
+
+    monkeypatch.setattr(antisym_checker.itertools, "combinations", no_pairs)
+    with pytest.raises(ValueError) as got:
+        build_constraints(top + 1)
+    assert str(got.value) == f"n_particles={top + 1} exceeds MAX_SYSTEM_N={top}"
+    with pytest.raises(ValueError) as got:
+        ExchangeConstraintSystem(n_vars=top + 1, constraints=())
+    assert str(got.value) == f"n_vars={top + 1} exceeds MAX_SYSTEM_N={top}"
+
+
 def random_system(rng: random.Random) -> ExchangeConstraintSystem:
     """Random constraint graph on up to 10 variables at a random edge
     density; half of them are bipartite by construction, so that counts

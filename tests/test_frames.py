@@ -10,11 +10,20 @@ import pytest
 
 from spinframes import (
     EPS_GEOM,
+    IDENTITY,
     CollinearMomentaError,
+    ExchangeCase,
     FrameMismatchError,
+    FrameTag,
+    OrderedDescription,
+    ParticleDescriptor,
+    TwiceSpin,
     Vec3,
+    assemble_pair_canonical_orderfree,
     bisector_axis,
+    exchange_order_dependent,
     helicity_frame,
+    pair_state_from_matrix,
     relative_rotation,
     to_matrix3,
 )
@@ -291,6 +300,38 @@ def test_frames_at_tolerance_boundary():
     assert close(f.yhat, Vec3(0.0, 1.0, 0.0), 1e-9)
 
 
+def collinear_error(build) -> str | None:
+    """The CollinearMomentaError message build() raises, or None."""
+    try:
+        build()
+    except CollinearMomentaError as exc:
+        return str(exc)
+    return None
+
+
+def pair_builds(p_a: Vec3, p_b: Vec3, base_a: FrameTag, base_b: FrameTag):
+    """Every way to build a pair state from spin-1/2 descriptors at p_a and
+    p_b with these bases: order-free assembly, a matrix, and both exchange
+    cases of the ordered description."""
+    half = TwiceSpin(1)
+    da = ParticleDescriptor("u", p_a, half, half.component(1), base_a, IDENTITY)
+    db = ParticleDescriptor("d", p_b, half, half.component(-1), base_b, IDENTITY)
+    ordered = OrderedDescription([da, db])
+    return (
+        lambda: assemble_pair_canonical_orderfree(da, db, IDENTITY, IDENTITY),
+        lambda: pair_state_from_matrix(da, db, np.eye(2, dtype=complex)),
+        lambda: exchange_order_dependent(ordered, ExchangeCase.FIRST),
+        lambda: exchange_order_dependent(ordered, ExchangeCase.SECOND),
+    )
+
+
+HELICITY_MIXES = (
+    (FrameTag.HELICITY, FrameTag.HELICITY),
+    (FrameTag.HELICITY, FrameTag.CANONICAL),
+    (FrameTag.CANONICAL, FrameTag.HELICITY),
+)
+
+
 def test_nearly_collinear_momenta_fail_as_collinear():
     # directions 1e-9 to 1e-7 apart straddle the collinearity threshold; a
     # pair just above it can leave the normal too rounded for an orthonormal
@@ -305,8 +346,17 @@ def test_nearly_collinear_momenta_fail_as_collinear():
         except CollinearMomentaError as exc:
             assert str(exc) == "helicity frame undefined for collinear momenta"
             outcomes["collinear"] += 1
+            want = str(exc)
         else:
             outcomes["built"] += 1
+            want = None
+        # the rule gives one answer in either argument order, and every pair
+        # with a helicity-based description applies it: what helicity_frame
+        # rejects, no pair state is built from
+        assert collinear_error(lambda: helicity_frame(v, u)) == want
+        for base_a, base_b in HELICITY_MIXES:
+            for build in pair_builds(u, v, base_a, base_b):
+                assert collinear_error(build) == want
     assert outcomes["collinear"] and outcomes["built"]
 
 

@@ -53,6 +53,7 @@ from spinframes import (
     total_spins,
     wigner_D,
 )
+from spinframes.antisym_checker import ExchangeConstraintSystem
 from util import figure_pair
 
 HALF = TwiceSpin(1)
@@ -251,6 +252,8 @@ VALUE_ROWS = (
     ("half_turn", "sheet", lambda: half_turn(ZHAT, GIANT)),
     ("TwiceSpin", "twice-spin", lambda: TwiceSpin(-GIANT)),
     ("impossibility_report", "N_max=<int", lambda: impossibility_report(GIANT)),
+    ("build_constraints", "n_particles=<int", lambda: build_constraints(GIANT)),
+    ("ExchangeConstraintSystem", "n_vars=<int", lambda: ExchangeConstraintSystem(n_vars=GIANT, constraints=())),
 )
 # spins past their bound: MAX_TWICE_SPIN, or for m_range twice that, the
 # largest total spin 2S of a supported pair

@@ -325,14 +325,24 @@ def test_collinearity_enforced_only_for_helicity_base():
     assemble_pair_canonical_orderfree(da_c, db_c, IDENTITY, IDENTITY)
 
 
+# directions about 1e-8 apart (the pair of the CI console-script check of
+# `frames`): above the span threshold, but the normal is too rounded for an
+# orthonormal triad, so helicity_frame rejects the pair
+NEAR_COLLINEAR = (
+    Vec3(-0.2530210960357105, -0.3022294347264799, -0.9190417257914899),
+    Vec3(-0.2530211128203417, -0.3022294356384742, -0.9190417423666852),
+)
+
+
 def test_helicity_pairs_rejected_like_helicity_frame():
-    # the frame-free check raises what helicity_frame raises, word for word;
+    # the pair check raises what helicity_frame raises, word for word;
     # a non-finite momentum raises it already where the descriptor is built
     v = Vec3(0.3, -0.2, 0.9)
     zero = Vec3(0.0, 0.0, 0.0)
     cases = (
         (v, v.scaled(2.0)),
         (v, v.scaled(-0.5)),
+        NEAR_COLLINEAR,
         (zero, v),
         (v, zero),
         (Vec3(math.nan, 0.0, 1.0), v),
